@@ -51,83 +51,103 @@ type benchSink struct{}
 
 func (benchSink) ReqDone(token, cycle uint64) {}
 
-// BenchmarkCacheTick measures the steady-state per-cycle cost of the full
-// cache pipeline — fills, writes, reads, prefetches, sendQ drain — under a
-// mixed demand/prefetch load over a bounded footprint (make bench-cache).
-func BenchmarkCacheTick(b *testing.B) {
-	f := &benchLower{delay: 40}
+// tickScenario is one steady-state cache workload: a warmed cache behind a
+// benchLower and the per-cycle step that drives it.
+type tickScenario struct {
+	name string
+	step func()
+}
+
+// tickScenarios builds the cache pipeline workloads the hot-path pins
+// cover, each warmed up (tables, rings, waiter pool at their high-water
+// marks):
+//   - mixed: demand/prefetch/store traffic over a 2048-line footprint
+//     against a 512-line cache, 40-cycle lower level;
+//   - mshr-pressure: two new demand misses per cycle over a footprint far
+//     larger than the cache, answered at a 12-cycle (L2-hit) latency, so
+//     the MSHR file stays nearly full of fills in flight and a fill lands
+//     almost every cycle.
+func tickScenarios() []tickScenario {
 	cfg := Config{
 		Name: "B", Level: L1D,
 		SizeBytes: 32 * 1024, Ways: 8, LatencyCyc: 4,
 		MSHRs: 16, RQSize: 16, WQSize: 16, PQSize: 16,
 		ReadPorts: 2, WritePorts: 1, Repl: LRU,
 	}
-	c := MustNew(cfg, f)
 	var sink benchSink
+	mixed := func() func() {
+		f := &benchLower{delay: 40}
+		c := MustNew(cfg, f)
+		s := uint64(0x9e3779b97f4a7c15)
+		cycle := uint64(0)
+		return func() {
+			s = s*6364136223846793005 + 1442695040888963407
+			line := 0x4000 + (s>>33)%2048 // 2048-line footprint vs 512-line cache
+			if s&3 != 3 {
+				c.AcceptDemand(&Req{
+					LineAddr: line, VLineAddr: line,
+					Store: s&15 == 5, Sink: sink, Token: s,
+				}, cycle)
+			}
+			if s&7 == 1 {
+				c.EnqueuePrefetches([]PrefetchReq{{LineAddr: line + 1, FillLevel: L1D}}, cycle, 0)
+			}
+			f.tick(cycle)
+			c.Tick(cycle)
+			cycle++
+		}
+	}
+	pressure := func() func() {
+		f := &benchLower{delay: 12}
+		c := MustNew(cfg, f)
+		s := uint64(0x9e3779b97f4a7c15)
+		cycle := uint64(0)
+		return func() {
+			for i := 0; i < 2; i++ {
+				s = s*6364136223846793005 + 1442695040888963407
+				line := 0x4000 + (s>>33)%(1<<16) // 64Ki-line footprint: nearly all misses
+				c.AcceptDemand(&Req{LineAddr: line, VLineAddr: line, Sink: sink, Token: s}, cycle)
+			}
+			f.tick(cycle)
+			c.Tick(cycle)
+			cycle++
+		}
+	}
+	var out []tickScenario
+	for _, sc := range []struct {
+		name  string
+		build func() func()
+	}{{"mixed", mixed}, {"mshr-pressure", pressure}} {
+		step := sc.build()
+		for i := 0; i < 50_000; i++ { // warm: tables, rings, waiter pool
+			step()
+		}
+		out = append(out, tickScenario{sc.name, step})
+	}
+	return out
+}
 
-	s := uint64(0x9e3779b97f4a7c15)
-	cycle := uint64(0)
-	step := func() {
-		s = s*6364136223846793005 + 1442695040888963407
-		line := 0x4000 + (s>>33)%2048 // 2048-line footprint vs 512-line cache
-		if s&3 != 3 {
-			c.AcceptDemand(&Req{
-				LineAddr: line, VLineAddr: line,
-				Store: s&15 == 5, Sink: sink, Token: s,
-			}, cycle)
-		}
-		if s&7 == 1 {
-			c.EnqueuePrefetches([]PrefetchReq{{LineAddr: line + 1, FillLevel: L1D}}, cycle, 0)
-		}
-		f.tick(cycle)
-		c.Tick(cycle)
-		cycle++
-	}
-	for i := 0; i < 50_000; i++ { // warm: tables, rings, waiter pool
-		step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+// BenchmarkCacheTick measures the steady-state per-cycle cost of the full
+// cache pipeline — fills, writes, reads, prefetches, sendQ drain — for
+// each tick scenario (make bench-cache).
+func BenchmarkCacheTick(b *testing.B) {
+	for _, sc := range tickScenarios() {
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc.step()
+			}
+		})
 	}
 }
 
 // TestCacheTickZeroAllocSteadyState pins the benchmark's property as a
-// regular test: the warmed cache pipeline allocates nothing per cycle.
+// regular test: the warmed cache pipeline allocates nothing per cycle in
+// any tick scenario.
 func TestCacheTickZeroAllocSteadyState(t *testing.T) {
-	f := &benchLower{delay: 40}
-	cfg := Config{
-		Name: "B", Level: L1D,
-		SizeBytes: 32 * 1024, Ways: 8, LatencyCyc: 4,
-		MSHRs: 16, RQSize: 16, WQSize: 16, PQSize: 16,
-		ReadPorts: 2, WritePorts: 1, Repl: LRU,
-	}
-	c := MustNew(cfg, f)
-	var sink benchSink
-	s := uint64(0x9e3779b97f4a7c15)
-	cycle := uint64(0)
-	step := func() {
-		s = s*6364136223846793005 + 1442695040888963407
-		line := 0x4000 + (s>>33)%2048
-		if s&3 != 3 {
-			c.AcceptDemand(&Req{
-				LineAddr: line, VLineAddr: line,
-				Store: s&15 == 5, Sink: sink, Token: s,
-			}, cycle)
+	for _, sc := range tickScenarios() {
+		if avg := testing.AllocsPerRun(2000, sc.step); avg != 0 {
+			t.Fatalf("%s: %.3f allocs per cycle in steady state, want 0", sc.name, avg)
 		}
-		if s&7 == 1 {
-			c.EnqueuePrefetches([]PrefetchReq{{LineAddr: line + 1, FillLevel: L1D}}, cycle, 0)
-		}
-		f.tick(cycle)
-		c.Tick(cycle)
-		cycle++
-	}
-	for i := 0; i < 50_000; i++ {
-		step()
-	}
-	avg := testing.AllocsPerRun(2000, step)
-	if avg != 0 {
-		t.Fatalf("%.3f allocs per cycle in steady state, want 0", avg)
 	}
 }

@@ -8,12 +8,15 @@
 // The per-access path is allocation-free in steady state: queues are
 // fixed-capacity value rings (internal/ringbuf), completion callbacks are
 // sink+token pairs or pooled waiter nodes instead of per-request closures,
-// and the PQ duplicate check is an open-addressed presence index rather
-// than a queue walk (see hotpath.go and DESIGN.md §15).
+// and the PQ duplicate check and MSHR lookup are open-addressed probes
+// rather than walks. Per-cycle work follows events: the MSHR file keeps a
+// live count, a free-slot bitmap and the earliest arrived fill, so idle
+// cycles never touch it (see hotpath.go and DESIGN.md §15).
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/bertisim/berti/internal/check"
 	"github.com/bertisim/berti/internal/obs"
@@ -50,16 +53,6 @@ func (l Level) String() string {
 		return fmt.Sprintf("Level(%d)", int(l))
 	}
 }
-
-// debugSlowFills enables diagnostic prints for pathological fill latencies.
-var debugSlowFills = false
-
-// SetDebugSlowFills toggles slow-fill diagnostics.
-func SetDebugSlowFills(v bool) { debugSlowFills = v }
-
-// DebugDRAMTimeline is patched by the harness to expose per-line DRAM event
-// times in slow-fill diagnostics; nil-safe default.
-var DebugDRAMTimeline = func(line uint64) []uint64 { return nil }
 
 // LineShift is log2 of the cache line size (64-byte lines).
 const LineShift = 6
@@ -388,14 +381,23 @@ type Cache struct {
 	sendQ ringbuf.Ring[Req]
 	// pqIdx indexes the plines currently in pq so the EnqueuePrefetches
 	// duplicate check is a probe, not a queue walk.
-	pqIdx lineSet
+	pqIdx lineMap
+	// mshrIdx maps each valid MSHR entry's line address to its slot+1, so
+	// finding an in-flight line is a probe, not a walk of the file.
+	mshrIdx lineMap
+	// mshrFree has bit i set while MSHR slot i is free. Allocation takes
+	// the lowest free slot, because slot order decides fill order.
+	mshrFree []uint64
+	// mshrLive counts valid MSHR entries.
+	mshrLive int
+	// nextFill is the earliest readyCycle among valid entries whose data
+	// has arrived (never when there is none): processFills sleeps until
+	// then, and it is the MSHR file's whole share of NextEventCycle.
+	nextFill uint64
 	// wpool holds the waiter nodes chained off RQ entries and MSHRs;
 	// wfree heads its free list (index+1; 0 = empty).
 	wpool []waiterNode
 	wfree int32
-	// fillsReady counts MSHR entries with dataReady set that have not yet
-	// been consumed by processFills, so idle cycles skip the MSHR sweep.
-	fillsReady int
 	// trafficDown counts line requests sent to the lower level; wbDown
 	// counts writebacks sent to the lower level.
 	TrafficDown uint64
@@ -436,6 +438,12 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 		lower: lower,
 		xlat:  identityXlat{},
 		mshrs: make([]mshr, cfg.MSHRs),
+		// One bit per slot, all free.
+		mshrFree: make([]uint64, (cfg.MSHRs+63)/64),
+		nextFill: never,
+	}
+	for i := 0; i < cfg.MSHRs; i++ {
+		c.mshrFree[i>>6] |= 1 << (i & 63)
 	}
 	if lc, ok := lower.(*Cache); ok {
 		c.lowerC = lc
@@ -445,6 +453,7 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 	c.pq.Init(cfg.PQSize)
 	c.sendQ.Init(cfg.MSHRs + cfg.WQSize)
 	c.pqIdx.init(cfg.PQSize)
+	c.mshrIdx.init(cfg.MSHRs)
 	// Size the waiter pool for the worst steady-state chain population:
 	// every MSHR and RQ entry can hold combined requests. Growth past
 	// this is an append, not an error.
@@ -633,34 +642,54 @@ func (c *Cache) drripMissUpdate(lineAddr uint64) {
 
 // findMSHR returns the MSHR entry tracking lineAddr, or nil.
 func (c *Cache) findMSHR(lineAddr uint64) *mshr {
-	for i := range c.mshrs {
-		if c.mshrs[i].valid && c.mshrs[i].lineAddr == lineAddr {
-			return &c.mshrs[i]
-		}
+	if v := c.mshrIdx.get(lineAddr); v != 0 {
+		return &c.mshrs[v-1]
 	}
 	return nil
 }
 
-// allocMSHR returns a free entry, or nil when the MSHR file is full.
-func (c *Cache) allocMSHR() *mshr {
-	for i := range c.mshrs {
-		if !c.mshrs[i].valid {
-			return &c.mshrs[i]
+// freeMSHR returns the lowest free MSHR slot, or -1 when the file is full.
+// The slot stays free until openMSHR claims it.
+func (c *Cache) freeMSHR() int {
+	for w, free := range c.mshrFree {
+		if free != 0 {
+			return w<<6 + bits.TrailingZeros64(free)
 		}
 	}
-	return nil
+	return -1
+}
+
+// openMSHR installs e (which must be valid) in free slot i and indexes it.
+func (c *Cache) openMSHR(i int, e mshr) *mshr {
+	c.mshrs[i] = e
+	c.mshrIdx.put(e.lineAddr, uint32(i+1))
+	c.mshrFree[i>>6] &^= 1 << (i & 63)
+	c.mshrLive++
+	return &c.mshrs[i]
+}
+
+// closeMSHR retires the entry in slot i.
+func (c *Cache) closeMSHR(i int) {
+	c.mshrIdx.del(c.mshrs[i].lineAddr)
+	c.mshrs[i] = mshr{}
+	c.mshrFree[i>>6] |= 1 << (i & 63)
+	c.mshrLive--
+}
+
+// fillHorizon walks the MSHR file for the earliest readyCycle among
+// entries whose data has arrived (never when there is none).
+func (c *Cache) fillHorizon() uint64 {
+	h := never
+	for i := range c.mshrs {
+		if m := &c.mshrs[i]; m.valid && m.dataReady && m.readyCycle < h {
+			h = m.readyCycle
+		}
+	}
+	return h
 }
 
 // MSHROccupancy returns the number of valid MSHR entries.
-func (c *Cache) MSHROccupancy() int {
-	n := 0
-	for i := range c.mshrs {
-		if c.mshrs[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) MSHROccupancy() int { return c.mshrLive }
 
 // lowerAcceptRead forwards a read to the lower level through the concrete
 // pointer when it is another cache, avoiding interface dispatch on the
@@ -820,7 +849,7 @@ func (c *Cache) EnqueuePrefetches(reqs []PrefetchReq, cycle uint64, triggerVPage
 			c.Stats.PrefDropped++
 			continue
 		}
-		if c.pqIdx.contains(pline) {
+		if c.pqIdx.get(pline) != 0 {
 			c.Stats.PrefDropped++
 			continue
 		}
@@ -858,21 +887,28 @@ func (c *Cache) Tick(cycle uint64) {
 	c.drainSendQ(cycle)
 }
 
-// processFills completes MSHR entries whose data has arrived. fillsReady
-// gates the sweep: most cycles no fill is pending and the MSHR file is
-// not touched at all.
+// processFills completes MSHR entries whose data has arrived, in slot
+// order. nextFill gates the sweep: until the earliest arrived fill is due,
+// the MSHR file is not touched at all. The sweep rebuilds nextFill from
+// the entries it leaves pending.
 func (c *Cache) processFills(cycle uint64) {
-	if c.fillsReady == 0 {
+	if c.nextFill > cycle {
 		return
 	}
+	c.nextFill = never
 	for i := range c.mshrs {
 		m := &c.mshrs[i]
-		if !m.valid || !m.dataReady || m.readyCycle > cycle {
+		if !m.valid || !m.dataReady {
+			continue
+		}
+		if m.readyCycle > cycle {
+			if m.readyCycle < c.nextFill {
+				c.nextFill = m.readyCycle
+			}
 			continue
 		}
 		c.fill(m, cycle)
-		c.fillsReady--
-		*m = mshr{}
+		c.closeMSHR(i)
 	}
 }
 
@@ -892,11 +928,19 @@ func (c *Cache) ReqDone(lineAddr, done uint64) {
 		}
 		done += delay
 	}
-	if !m.dataReady {
-		c.fillsReady++
+	if m.dataReady {
+		// The levels here complete each forwarded miss once. A lower
+		// level that completed one twice could move its ready cycle
+		// later, so the earliest-fill bound is rebuilt, not lowered.
+		m.readyCycle = done
+		c.nextFill = c.fillHorizon()
+		return
 	}
 	m.dataReady = true
 	m.readyCycle = done
+	if done < c.nextFill {
+		c.nextFill = done
+	}
 }
 
 // fill installs the line (respecting fill level) and wakes waiters.
@@ -1008,10 +1052,6 @@ func (c *Cache) fill(m *mshr, cycle uint64) {
 		}
 		if !m.isPrefetch || m.demandMerged {
 			c.Stats.RecordFillLatency(latency)
-			if debugSlowFills && latency > 1200 {
-				fmt.Printf("SLOWFILL %s line=%x lat=%d wasPf=%v merged=%v fillLvl=%v cyc=%d issue=%d dramTL=%v\n",
-					c.cfg.Name, m.lineAddr, latency, m.isPrefetch, m.demandMerged, m.fillLevel, cycle, m.issueCycle, DebugDRAMTimeline(m.lineAddr))
-			}
 		}
 	}
 	c.fireChain(m.whead, cycle)
@@ -1205,8 +1245,8 @@ func (c *Cache) serviceRead(r *Req, cycle uint64) (done, consumed bool) {
 		return true, true
 	}
 
-	m := c.allocMSHR()
-	if m == nil {
+	slot := c.freeMSHR()
+	if slot < 0 {
 		return false, false
 	}
 	if !r.IsPrefetch {
@@ -1225,7 +1265,9 @@ func (c *Cache) serviceRead(r *Req, cycle uint64) (done, consumed bool) {
 		// trigger attribution.
 		provID = c.prov.Child(r.provID, int(c.cfg.Level), cycle)
 	}
-	*m = mshr{
+	// The slot is claimed only now: the prefetcher hook above sees the
+	// occupancy and in-flight set without this miss.
+	m := c.openMSHR(slot, mshr{
 		valid:      true,
 		lineAddr:   r.LineAddr,
 		vline:      r.VLineAddr,
@@ -1235,7 +1277,7 @@ func (c *Cache) serviceRead(r *Req, cycle uint64) (done, consumed bool) {
 		isStore:    r.Store,
 		issueCycle: cycle,
 		provID:     provID,
-	}
+	})
 	c.adoptWaiters(m, r)
 	c.forwardDown(m, cycle)
 	return true, true
@@ -1314,11 +1356,11 @@ func (c *Cache) processPrefetches(cycle uint64) {
 			if c.MSHROccupancy() >= c.cfg.MSHRs-c.cfg.MSHRs/4 {
 				return // retry next cycle
 			}
-			m := c.allocMSHR()
-			if m == nil {
+			slot := c.freeMSHR()
+			if slot < 0 {
 				return // retry next cycle
 			}
-			*m = mshr{
+			m := c.openMSHR(slot, mshr{
 				valid:      true,
 				lineAddr:   e.pline,
 				vline:      e.vline,
@@ -1326,7 +1368,7 @@ func (c *Cache) processPrefetches(cycle uint64) {
 				fillLevel:  e.fillLevel,
 				issueCycle: e.issue, // PQ timestamp transfers to the MSHR
 				provID:     e.provID,
-			}
+			})
 			c.forwardDown(m, cycle)
 		} else {
 			// Fill is below this level: hand the request straight to
@@ -1446,19 +1488,10 @@ func (c *Cache) NextEventCycle(now uint64) uint64 {
 			h = r.notBefore
 		}
 	}
-	if c.fillsReady > 0 {
-		for i := range c.mshrs {
-			m := &c.mshrs[i]
-			if !m.valid || !m.dataReady {
-				continue
-			}
-			if m.readyCycle <= now {
-				return now
-			}
-			if m.readyCycle < h {
-				h = m.readyCycle
-			}
-		}
+	if c.nextFill <= now {
+		return now
+	} else if c.nextFill < h {
+		h = c.nextFill
 	}
 	// wq, pq, and sendQ are head-gated: entries behind the head cannot be
 	// reached before the head itself is processed (an event).
@@ -1488,15 +1521,7 @@ func (c *Cache) NextEventCycle(now uint64) uint64 {
 
 // Drained reports whether all queues and MSHRs are empty.
 func (c *Cache) Drained() bool {
-	if c.rq.Len() > 0 || c.wq.Len() > 0 || c.pq.Len() > 0 || c.sendQ.Len() > 0 {
-		return false
-	}
-	for i := range c.mshrs {
-		if c.mshrs[i].valid {
-			return false
-		}
-	}
-	return true
+	return c.rq.Len() == 0 && c.wq.Len() == 0 && c.pq.Len() == 0 && c.sendQ.Len() == 0 && c.mshrLive == 0
 }
 
 // FlushMetadata clears prefetch bits (between warmup and measurement the
@@ -1534,8 +1559,10 @@ func (c *Cache) Queues() QueueSnapshot {
 // CheckInvariants walks the level's state and reports every breached
 // invariant: queue occupancy beyond configured bounds, duplicate tags
 // within a set, lines resident in the wrong set, duplicate MSHR entries,
-// and MSHR entries in flight longer than mshrStuckAfter cycles (a leaked
-// fill — nothing will ever complete them). It never mutates state.
+// MSHR entries in flight longer than mshrStuckAfter cycles (a leaked
+// fill — nothing will ever complete them), and an MSHR index, free
+// bitmap, live counter or fill horizon that disagrees with a walk of the
+// MSHR file. It never mutates state.
 func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.Violation)) {
 	name := c.cfg.Name
 	if c.rq.Len() > c.cfg.RQSize {
@@ -1568,10 +1595,20 @@ func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.
 			}
 		}
 	}
+	live := 0
 	for i := range c.mshrs {
 		m := &c.mshrs[i]
+		if free := c.mshrFree[i>>6]&(1<<(i&63)) != 0; free == m.valid {
+			report(check.Violation{Rule: check.RuleMSHRIndex, Component: name, Cycle: cycle,
+				Detail: fmt.Sprintf("MSHR %d valid=%v but the free bitmap says free=%v", i, m.valid, free)})
+		}
 		if !m.valid {
 			continue
+		}
+		live++
+		if v := c.mshrIdx.get(m.lineAddr); v != uint32(i+1) {
+			report(check.Violation{Rule: check.RuleMSHRIndex, Component: name, Cycle: cycle,
+				Detail: fmt.Sprintf("MSHR %d tracks line %#x but the index maps it to slot+1 %d", i, m.lineAddr, v)})
 		}
 		// Stuck means still incomplete long past issue: either the fill
 		// response never arrived (dataReady false — a dropped fill) or it
@@ -1588,6 +1625,14 @@ func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.
 					Detail: fmt.Sprintf("MSHRs %d and %d both track line %#x", i, j, m.lineAddr)})
 			}
 		}
+	}
+	if live != c.mshrLive || live != c.mshrIdx.used {
+		report(check.Violation{Rule: check.RuleMSHRIndex, Component: name, Cycle: cycle,
+			Detail: fmt.Sprintf("walk finds %d valid MSHRs, live counter %d, index holds %d", live, c.mshrLive, c.mshrIdx.used)})
+	}
+	if h := c.fillHorizon(); h != c.nextFill {
+		report(check.Violation{Rule: check.RuleMSHRIndex, Component: name, Cycle: cycle,
+			Detail: fmt.Sprintf("earliest arrived fill is due at %d, nextFill says %d", h, c.nextFill)})
 	}
 }
 

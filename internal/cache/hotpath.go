@@ -1,7 +1,8 @@
 // Hot-path support structures: the closure-free completion interface, the
 // pooled waiter chains that replace per-request callback slices, and the
-// open-addressed presence index that replaces the PQ duplicate scan. All
-// three exist so the steady-state per-access path allocates nothing.
+// open-addressed line map behind the PQ presence index and the MSHR index.
+// All three exist so the steady-state per-access path allocates nothing and
+// no lookup walks a queue or the MSHR file.
 package cache
 
 // DoneSink receives request completions without a per-request closure: the
@@ -95,97 +96,112 @@ func (c *Cache) fireChain(head int32, cycle uint64) {
 	}
 }
 
-// lineSet is an open-addressed counting set of line addresses — the PQ
-// presence index. Linear probing over a power-of-two table sized at
-// construction (4x the queue bound, so the load factor stays low);
-// deletion uses backward-shift compaction so no tombstones accumulate.
-// Duplicate keys are counted rather than stored twice, which keeps the
-// orphan-corruption fault plan (many entries for line 0) from overflowing
-// the table.
-type lineSet struct {
+// lineMap is an open-addressed map from line address to a nonzero value.
+// Two indexes share it: the PQ presence index counts queued entries per
+// line (add/remove; duplicates are counted rather than stored twice, which
+// keeps the orphan-corruption fault plan — many entries for line 0 — from
+// overflowing the table), and the MSHR index maps a line to its slot+1
+// (put/del). Linear probing over a power-of-two table sized at
+// construction (4x the bound, so the load factor stays low); deletion uses
+// backward-shift compaction so no tombstones accumulate.
+type lineMap struct {
 	keys []uint64
-	cnt  []uint16
+	vals []uint32 // 0 marks an empty slot
 	mask uint64
 	used int
 }
 
-func (s *lineSet) init(bound int) {
+func (s *lineMap) init(bound int) {
 	n := 8
 	for n < 4*bound {
 		n <<= 1
 	}
 	s.keys = make([]uint64, n)
-	s.cnt = make([]uint16, n)
+	s.vals = make([]uint32, n)
 	s.mask = uint64(n - 1)
 	s.used = 0
 }
 
 // slot mixes the key (line addresses are strided, not uniform) into a
 // table index.
-func (s *lineSet) slot(k uint64) uint64 {
+func (s *lineMap) slot(k uint64) uint64 {
 	k *= 0x9e3779b97f4a7c15
 	k ^= k >> 29
 	return k & s.mask
 }
 
-func (s *lineSet) contains(k uint64) bool {
-	for i := s.slot(k); ; i = (i + 1) & s.mask {
-		if s.cnt[i] == 0 {
-			return false
-		}
-		if s.keys[i] == k {
-			return true
-		}
-	}
-}
-
-func (s *lineSet) add(k uint64) {
-	for i := s.slot(k); ; i = (i + 1) & s.mask {
-		if s.cnt[i] == 0 {
-			s.keys[i] = k
-			s.cnt[i] = 1
-			s.used++
-			if 2*s.used >= len(s.keys) {
-				s.grow()
-			}
-			return
-		}
-		if s.keys[i] == k {
-			s.cnt[i]++
-			return
-		}
-	}
-}
-
-func (s *lineSet) remove(k uint64) {
+// find returns the table index holding k, or the empty index that ends
+// its probe chain.
+func (s *lineMap) find(k uint64) uint64 {
 	i := s.slot(k)
-	for {
-		if s.cnt[i] == 0 {
-			return // not present (never happens when add/remove are paired)
-		}
-		if s.keys[i] == k {
-			break
-		}
+	for s.vals[i] != 0 && s.keys[i] != k {
 		i = (i + 1) & s.mask
 	}
-	if s.cnt[i] > 1 {
-		s.cnt[i]--
-		return
+	return i
+}
+
+// get returns k's value, or 0 when k is absent.
+func (s *lineMap) get(k uint64) uint32 { return s.vals[s.find(k)] }
+
+// put sets k's value (v must be nonzero).
+func (s *lineMap) put(k uint64, v uint32) {
+	if i := s.find(k); s.vals[i] != 0 {
+		s.vals[i] = v
+	} else {
+		s.insertAt(i, k, v)
 	}
-	// Backward-shift deletion: pull displaced entries over the hole so
-	// probe chains stay contiguous.
-	s.cnt[i] = 0
+}
+
+// add counts one more occurrence of k.
+func (s *lineMap) add(k uint64) {
+	if i := s.find(k); s.vals[i] != 0 {
+		s.vals[i]++
+	} else {
+		s.insertAt(i, k, 1)
+	}
+}
+
+// remove counts one occurrence of k away, deleting the key at zero.
+func (s *lineMap) remove(k uint64) {
+	i := s.find(k)
+	switch {
+	case s.vals[i] > 1:
+		s.vals[i]--
+	case s.vals[i] == 1:
+		s.deleteAt(i)
+	}
+}
+
+// del deletes k whatever its value.
+func (s *lineMap) del(k uint64) {
+	if i := s.find(k); s.vals[i] != 0 {
+		s.deleteAt(i)
+	}
+}
+
+func (s *lineMap) insertAt(i, k uint64, v uint32) {
+	s.keys[i], s.vals[i] = k, v
+	s.used++
+	if 2*s.used >= len(s.keys) {
+		s.grow()
+	}
+}
+
+// deleteAt empties index i, pulling displaced entries over the hole so
+// probe chains stay contiguous.
+func (s *lineMap) deleteAt(i uint64) {
+	s.vals[i] = 0
 	s.used--
 	j := i
 	for {
 		j = (j + 1) & s.mask
-		if s.cnt[j] == 0 {
+		if s.vals[j] == 0 {
 			return
 		}
 		home := s.slot(s.keys[j])
 		if (j-home)&s.mask >= (j-i)&s.mask {
-			s.keys[i], s.cnt[i] = s.keys[j], s.cnt[j]
-			s.cnt[j] = 0
+			s.keys[i], s.vals[i] = s.keys[j], s.vals[j]
+			s.vals[j] = 0
 			i = j
 		}
 	}
@@ -193,16 +209,16 @@ func (s *lineSet) remove(k uint64) {
 
 // grow doubles the table (reached only by deliberate overfill, e.g. the
 // pq-orphan fault plan pushing far past the configured bound).
-func (s *lineSet) grow() {
-	ok, oc := s.keys, s.cnt
+func (s *lineMap) grow() {
+	ok, ov := s.keys, s.vals
 	n := 2 * len(ok)
 	s.keys = make([]uint64, n)
-	s.cnt = make([]uint16, n)
+	s.vals = make([]uint32, n)
 	s.mask = uint64(n - 1)
 	s.used = 0
-	for i := range ok {
-		for r := uint16(0); r < oc[i]; r++ {
-			s.add(ok[i])
+	for i, v := range ov {
+		if v != 0 {
+			s.insertAt(s.find(ok[i]), ok[i], v)
 		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 	"github.com/bertisim/berti/internal/sim"
 )
 
-// finalPushTimeout bounds the end-of-batch results push. It runs on a
-// context detached from the worker's (a shutdown must not strand computed
-// results), so it needs its own deadline.
-const finalPushTimeout = 30 * time.Second
+// pushTimeout bounds each results push. Pushes run on a context
+// detached from the worker's (neither a shutdown nor a lost lease may
+// strand computed results), so they need their own deadline.
+const pushTimeout = 30 * time.Second
 
 // Worker is the bertiworker execution loop: pull a lease from the
 // coordinator, run its specs on the local harness pool, stream each
@@ -95,9 +95,13 @@ func (w *Worker) Run(ctx context.Context) error {
 // runLease executes one granted batch. Results stream back as each spec
 // finishes (so a worker killed mid-batch has already banked its completed
 // work), heartbeats extend the lease in parallel, and a final sweep
-// pushes whatever was not yet acknowledged — on a context that survives
-// worker shutdown, because a computed result is worth landing even when
-// the lease is already lost.
+// pushes whatever was not yet acknowledged. Every push runs on a context
+// that survives worker shutdown and lease loss, because a computed result
+// is worth landing even when the lease is already lost. Lease loss stops
+// only the runs: the coordinator retires a lease as soon as its last
+// result lands, so a heartbeat can learn of the loss while that very push
+// is still in flight — cancelling it then would abandon an accepted push
+// and make the final sweep deliver the result twice.
 func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant, logf func(string, ...any)) error {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -110,7 +114,9 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant, logf func(stri
 		mu.Lock()
 		completed++
 		mu.Unlock()
-		if _, err := w.Client.PushResults(bctx, grant.ID, w.ID,
+		pushCtx, pcancel := context.WithTimeout(context.WithoutCancel(ctx), pushTimeout)
+		defer pcancel()
+		if _, err := w.Client.PushResults(pushCtx, grant.ID, w.ID,
 			[]campaign.Entry{{Key: key, Result: r}}, nil); err != nil {
 			logf("worker %s: push %s: %v (will retry in final sweep)", w.ID, key, err)
 			return
@@ -159,7 +165,7 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant, logf func(stri
 	// failures. Detached from ctx so a shutting-down (or lease-lost)
 	// worker still lands finished work; the coordinator accepts late
 	// pushes and dedupes.
-	pushCtx, pcancel := context.WithTimeout(context.WithoutCancel(ctx), finalPushTimeout)
+	pushCtx, pcancel := context.WithTimeout(context.WithoutCancel(ctx), pushTimeout)
 	defer pcancel()
 	var entries []campaign.Entry
 	mu.Lock()

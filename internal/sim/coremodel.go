@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"github.com/bertisim/berti/internal/cache"
 	"github.com/bertisim/berti/internal/check"
@@ -55,12 +56,24 @@ type Core struct {
 	robTail   int
 	robCount  int // entries
 	robInstrs int // instructions occupying the window
-	// pend lists the ROB slots of unissued memory operations in program
-	// order, so the per-cycle issue scan touches exactly the entries that
-	// can issue instead of walking the window (the walk dominated
-	// simulation time). Slots are stable while listed: an unissued memory
-	// entry cannot retire, and nothing ahead of it can pop past it.
-	pend []int32
+	// Every unissued memory operation is in exactly one of two places, so
+	// issue touches only operations that may issue this cycle instead of
+	// rescanning every unissued one. ROB slots are stable while an entry
+	// is unissued: it cannot retire, and nothing ahead of it can pop past.
+	//
+	// ready has one bit per ROB slot, walked in ROB-age order (ring order
+	// from robHead). It holds independent operations and consumers whose
+	// dependence slot has reported a completion. Readiness is re-checked
+	// at issue time: a completion still in the future keeps the entry
+	// here, and a dependence slot recycled by a later record since the
+	// wakeup parks it again.
+	ready []uint64
+	// waitHead[s] heads the list of consumers parked on dependence slot s
+	// (ROB slot+1, linked through waitNext; 0 ends it). An entry is parked
+	// only while depReady[s] is false, and ReqDone for s moves the whole
+	// list into ready.
+	waitHead [depWindow]int32
+	waitNext []int32
 
 	// pending is the next trace record being dispatched (nonMem first).
 	pending       trace.Record
@@ -81,7 +94,10 @@ type Core struct {
 	RetiredTotal uint64
 	// IssueBlocked counts issue attempts refused by a full L1D RQ.
 	IssueBlocked uint64
-	// DepBlocked counts issue attempts blocked by an incomplete producer.
+	// DepBlocked counts issue attempts on a woken consumer that found its
+	// producer's data not yet available (or its dependence slot recycled).
+	// Consumers parked on an in-flight producer are not attempted, so they
+	// do not count.
 	DepBlocked uint64
 	// LoadLatHist buckets load issue->complete latencies by power of two
 	// (diagnostics).
@@ -97,15 +113,14 @@ type Core struct {
 // NewCore builds a core bound to its trace, MMU, and L1D.
 func NewCore(id int, cfg CoreConfig, rd trace.Reader, mmu *vm.MMU, l1d *cache.Cache) *Core {
 	return &Core{
-		ID:     id,
-		cfg:    cfg,
-		reader: rd,
-		mmu:    mmu,
-		l1d:    l1d,
-		rob:    make([]robEntry, cfg.ROBSize+1),
-		// Memory entries occupy one instruction each, so the unissued set
-		// can never exceed the window: appends never reallocate.
-		pend: make([]int32, 0, cfg.ROBSize+1),
+		ID:       id,
+		cfg:      cfg,
+		reader:   rd,
+		mmu:      mmu,
+		l1d:      l1d,
+		rob:      make([]robEntry, cfg.ROBSize+1),
+		ready:    make([]uint64, (cfg.ROBSize+64)/64),
+		waitNext: make([]int32, cfg.ROBSize+1),
 	}
 }
 
@@ -155,11 +170,19 @@ func (c *Core) NextEventCycle(now uint64) uint64 {
 	if c.pendingValid && c.robInstrs < c.cfg.ROBSize {
 		return now
 	}
-	// Issue: every pend entry is an unissued memory operation. A producer
-	// still in flight (depReady unset) is the cache's event; a completed
-	// producer with a future completion cycle schedules the consumer's
-	// issue.
-	for _, slot := range c.pend {
+	if i := c.issueHorizon(now); i < h {
+		h = i
+	}
+	return h
+}
+
+// issueHorizon is the issue stage's share of NextEventCycle. Parked
+// consumers wait on a producer still in flight — the cache's event. Of the
+// ready entries, a completed producer with a future completion cycle
+// schedules the consumer's issue.
+func (c *Core) issueHorizon(now uint64) uint64 {
+	h := Never
+	for slot := c.nextReady(-1); slot >= 0; slot = c.nextReady(slot) {
 		e := &c.rob[slot]
 		if e.dep != 0 {
 			s := (e.dep - 1) % depWindow
@@ -200,39 +223,66 @@ func (c *Core) Err() error { return c.err }
 
 // CheckInvariants verifies the reorder buffer's accounting: the occupancy
 // counters must agree with the entries actually present in the ring, the
-// aggregated instruction count must match a fresh walk, and the pending
-// issue list must name exactly the unissued memory entries. It never
-// mutates state.
+// aggregated instruction count must match a fresh walk, and the ready set
+// and the wait lists together must name each unissued memory entry
+// exactly once, with every parked entry on its own dependence slot while
+// that slot's producer is in flight. It never mutates state.
 func (c *Core) CheckInvariants(name string, cycle uint64, report func(check.Violation)) {
 	if c.robCount < 0 || c.robCount >= len(c.rob) {
 		report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
 			Detail: fmt.Sprintf("robCount %d outside ring of %d slots", c.robCount, len(c.rob))})
 		return
 	}
+	bad := func(format string, args ...any) {
+		report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
+			Detail: fmt.Sprintf(format, args...)})
+	}
+	// listed counts how often each ROB slot appears in the ready set or a
+	// wait list.
+	listed := make([]int, len(c.rob))
+	for slot := range c.rob {
+		if c.isReady(slot) {
+			listed[slot]++
+		}
+	}
+	for s := range c.waitHead {
+		for id, n := c.waitHead[s], 0; id != 0; id = c.waitNext[id-1] {
+			if n++; n > len(c.rob) {
+				bad("wait list of dependence slot %d does not terminate", s)
+				return
+			}
+			slot := int(id - 1)
+			listed[slot]++
+			e := &c.rob[slot]
+			if c.depReady[s] {
+				bad("ROB slot %d parked on dependence slot %d, whose producer has completed", slot, s)
+			}
+			if e.dep == 0 || int((e.dep-1)%depWindow) != s {
+				bad("ROB slot %d parked on dependence slot %d, but it depends on record %d", slot, s, e.dep)
+			}
+		}
+	}
 	instrs := 0
-	unissued := 0
 	i := c.robHead
 	for n := 0; n < c.robCount; n++ {
-		instrs += c.entryInstrs(&c.rob[i])
-		if c.rob[i].isMem && !c.rob[i].issued {
-			unissued++
+		e := &c.rob[i]
+		instrs += c.entryInstrs(e)
+		want := 0
+		if e.isMem && !e.issued {
+			want = 1
 		}
+		if listed[i] != want {
+			bad("ROB slot %d (mem=%v issued=%v) is listed %d times for issue, want %d", i, e.isMem, e.issued, listed[i], want)
+		}
+		listed[i] = 0
 		i = (i + 1) % len(c.rob)
 	}
 	if instrs != c.robInstrs {
-		report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
-			Detail: fmt.Sprintf("robInstrs counter %d, ring walk says %d", c.robInstrs, instrs)})
+		bad("robInstrs counter %d, ring walk says %d", c.robInstrs, instrs)
 	}
-	if unissued != len(c.pend) {
-		report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
-			Detail: fmt.Sprintf("pend list holds %d slots, ring walk finds %d unissued memory ops", len(c.pend), unissued)})
-	}
-	for _, slot := range c.pend {
-		e := &c.rob[slot]
-		if !e.isMem || e.issued {
-			report(check.Violation{Rule: check.RuleROBAccounting, Component: name, Cycle: cycle,
-				Detail: fmt.Sprintf("pend slot %d does not hold an unissued memory op", slot)})
-			break
+	for slot, n := range listed {
+		if n != 0 {
+			bad("free ROB slot %d is listed %d times for issue", slot, n)
 		}
 	}
 }
@@ -351,7 +401,11 @@ func (c *Core) dispatch(cycle uint64) {
 		}
 		slot := c.robTail
 		c.pushEntry(e)
-		c.pend = append(c.pend, int32(slot))
+		if s := (dep - 1) % depWindow; dep != 0 && !c.depReady[s] {
+			c.park(slot, s)
+		} else {
+			c.setReady(slot)
+		}
 		budget--
 		c.pendingValid = false
 		if c.pending.Kind == trace.Load {
@@ -387,59 +441,102 @@ func (c *Core) pushEntry(e robEntry) {
 	c.robCount++
 }
 
-// issue sends ready memory operations to the L1D through limited ports.
-// The pend list is filtered in place: issued entries drop out, blocked
-// entries stay in program order.
+// issue sends ready memory operations to the L1D through limited ports,
+// oldest first. Issued entries leave the ready set; blocked ones stay.
 func (c *Core) issue(cycle uint64) {
 	loads := c.cfg.LoadPorts
 	stores := c.cfg.StorePorts
-	w := 0
-	n := 0
-	for ; n < len(c.pend); n++ {
+	for slot := c.nextReady(-1); slot >= 0; slot = c.nextReady(slot) {
 		if loads == 0 && stores == 0 {
-			break
+			return
 		}
-		slot := c.pend[n]
 		e := &c.rob[slot]
 		if e.kind == trace.Load && loads == 0 {
-			c.pend[w] = slot
-			w++
 			continue
 		}
 		if e.kind == trace.Store && stores == 0 {
-			c.pend[w] = slot
-			w++
 			continue
 		}
 		// Dependence check: producer must have completed.
 		if e.dep != 0 {
 			s := (e.dep - 1) % depWindow
-			if !c.depReady[s] || c.depDone[s] > cycle {
+			if !c.depReady[s] {
+				// A later record took the dependence slot since the
+				// wakeup: wait for its completion.
 				c.DepBlocked++
-				c.pend[w] = slot
-				w++
+				c.park(slot, s)
+				continue
+			}
+			if c.depDone[s] > cycle {
+				c.DepBlocked++
 				continue
 			}
 		}
-		if !c.tryIssue(e, slot, cycle) {
-			// L1D RQ full: stop issuing this cycle; keep this entry and
-			// everything behind it.
-			c.pend[w] = slot
-			w++
-			n++
-			break
+		if !c.tryIssue(e, int32(slot), cycle) {
+			// L1D RQ full: stop issuing this cycle.
+			return
 		}
+		c.clearReady(slot)
 		if e.kind == trace.Load {
 			loads--
 		} else {
 			stores--
 		}
 	}
-	for ; n < len(c.pend); n++ {
-		c.pend[w] = c.pend[n]
-		w++
+}
+
+// isReady reports whether ROB slot i is in the ready set.
+func (c *Core) isReady(i int) bool { return c.ready[i>>6]&(1<<(i&63)) != 0 }
+
+func (c *Core) setReady(i int)   { c.ready[i>>6] |= 1 << (i & 63) }
+func (c *Core) clearReady(i int) { c.ready[i>>6] &^= 1 << (i & 63) }
+
+// nextReady returns the ready slot that follows slot prev in ROB-age
+// order (prev < 0 starts at the head), or -1 when none is left. Age order
+// runs from robHead to the end of the ring, then wraps to slot 0.
+func (c *Core) nextReady(prev int) int {
+	if prev >= 0 && prev < c.robHead {
+		return c.scanReady(prev+1, c.robHead)
 	}
-	c.pend = c.pend[:w]
+	lo := c.robHead
+	if prev >= 0 {
+		lo = prev + 1
+	}
+	if s := c.scanReady(lo, len(c.rob)); s >= 0 {
+		return s
+	}
+	return c.scanReady(0, c.robHead)
+}
+
+// scanReady returns the lowest ready slot in [lo, hi), or -1.
+func (c *Core) scanReady(lo, hi int) int {
+	for lo < hi {
+		if w := c.ready[lo>>6] >> (lo & 63); w != 0 {
+			if s := lo + bits.TrailingZeros64(w); s < hi {
+				return s
+			}
+			return -1
+		}
+		lo = (lo | 63) + 1
+	}
+	return -1
+}
+
+// park moves ROB slot i out of the ready set onto dependence slot s's
+// wait list.
+func (c *Core) park(i int, s uint64) {
+	c.clearReady(i)
+	c.waitNext[i] = c.waitHead[s]
+	c.waitHead[s] = int32(i + 1)
+}
+
+// wake moves every consumer parked on dependence slot s into the ready
+// set (their producer slot just reported a completion).
+func (c *Core) wake(s uint64) {
+	for id := c.waitHead[s]; id != 0; id = c.waitNext[id-1] {
+		c.setReady(int(id - 1))
+	}
+	c.waitHead[s] = 0
 }
 
 // tryIssue translates and sends one memory op to the L1D. Completion comes
@@ -485,6 +582,7 @@ func (c *Core) ReqDone(token, done uint64) {
 		s := (token &^ storeTokenBit) % depWindow
 		c.depDone[s] = done
 		c.depReady[s] = true
+		c.wake(s)
 		return
 	}
 	e := &c.rob[token]
@@ -493,6 +591,7 @@ func (c *Core) ReqDone(token, done uint64) {
 	s := e.recIdx % depWindow
 	c.depDone[s] = done
 	c.depReady[s] = true
+	c.wake(s)
 	d := done - e.issuedAt
 	b := 0
 	for d > 0 && b < len(c.LoadLatHist)-1 {
