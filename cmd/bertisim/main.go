@@ -24,7 +24,9 @@
 // issue/fill/use/evict, MSHR stalls, TLB walks) into a bounded ring buffer
 // and writes Chrome trace_event JSON loadable in chrome://tracing or
 // Perfetto; -pprof serves net/http/pprof for profiling the simulator
-// itself. Simulation throughput (kinstr/s) is reported on stderr.
+// itself, and -cpuprofile FILE writes a CPU profile of the whole process
+// (for go tool pprof), finished on every exit path including an interrupt.
+// Simulation throughput (kinstr/s) is reported on stderr.
 //
 // Robustness: -check runs the invariant checker (MSHR leaks, queue bounds,
 // duplicate tags, ROB/TLB consistency) alongside the simulation;
@@ -49,7 +51,9 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -94,6 +98,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of structured events to this file")
 	traceBuf := flag.Int("trace-buf", 1<<16, "event-trace ring-buffer capacity (oldest events overwritten)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole process to this file (go tool pprof)")
 	provOut := flag.String("provenance-out", "", "write the per-prefetch provenance attribution report to this file (.json = JSON, else CSV); implies -provenance")
 	provFlag := flag.Bool("provenance", false, "track per-prefetch lifecycle provenance (attribution embedded in the -json report)")
 	provCap := flag.Int("provenance-cap", 0, "provenance record-pool capacity (0 = default 65536); overflowing prefetches go untracked and are counted")
@@ -102,10 +107,12 @@ func main() {
 	faultSpec := flag.String("fault-plan", "", "inject deterministic faults: kind[:key=value,...] (kinds: corrupt-record, truncate, drop-fill, delay-fill, dup-line, pq-orphan)")
 	schedFlag := flag.String("sched", "horizon", "engine scheduler: horizon (event-horizon skipping) or ticked (exhaustive per-cycle reference)")
 	flag.Parse()
+	startCPUProfile(*cpuProfile)
+	defer stopCPUProfile()
 	sched, err := sim.ParseScheduler(*schedFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bertisim:", err)
-		os.Exit(exitUsage)
+		exit(exitUsage)
 	}
 
 	var faultPlan *fault.Plan
@@ -114,7 +121,7 @@ func main() {
 		faultPlan, err = fault.Parse(*faultSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bertisim:", err)
-			os.Exit(exitUsage)
+			exit(exitUsage)
 		}
 	}
 	// A fault plan without -check would inject damage nothing looks for;
@@ -157,7 +164,7 @@ func main() {
 	}
 	if *traceOut != "" && *traceBuf <= 0 {
 		fmt.Fprintln(os.Stderr, "bertisim: -trace-buf must be > 0")
-		os.Exit(2)
+		exit(2)
 	}
 	// Fail on unwritable output paths now, not after a long simulation.
 	ensureWritable(*tsOut)
@@ -184,7 +191,7 @@ func main() {
 		metrics, err = live.New(*metricsAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bertisim:", err)
-			os.Exit(exitUsage)
+			exit(exitUsage)
 		}
 		defer metrics.Close()
 		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", metrics.Addr())
@@ -202,14 +209,14 @@ func main() {
 	}
 	if *simulate == 0 {
 		fmt.Fprintln(os.Stderr, "bertisim: -simulate must be > 0")
-		os.Exit(exitUsage)
+		exit(exitUsage)
 	}
 	if *simulate > 0 {
 		scale.SimInstr = uint64(*simulate)
 	}
 	if *skip > 0 && *traceFile == "" {
 		fmt.Fprintln(os.Stderr, "bertisim: -skip only applies with -trace (generated workloads start at instruction 0)")
-		os.Exit(exitUsage)
+		exit(exitUsage)
 	}
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the run at the
 	// engine's next poll stride; a second signal exits immediately.
@@ -223,7 +230,7 @@ func main() {
 		cancel()
 		<-sigc
 		fmt.Fprintln(os.Stderr, "bertisim: second signal: exiting immediately")
-		os.Exit(exitInterrupted)
+		exit(exitInterrupted)
 	}()
 
 	h := harness.New(scale)
@@ -250,7 +257,7 @@ func main() {
 				e, ok := prefetch.ByName(l1)
 				if !ok {
 					fmt.Fprintf(os.Stderr, "unknown prefetcher %q\n", l1)
-					os.Exit(exitUsage)
+					exit(exitUsage)
 				}
 				l1f = func() cache.Prefetcher { return e.New() }
 			}
@@ -258,7 +265,7 @@ func main() {
 				e, ok := prefetch.ByName(l2)
 				if !ok {
 					fmt.Fprintf(os.Stderr, "unknown prefetcher %q\n", l2)
-					os.Exit(exitUsage)
+					exit(exitUsage)
 				}
 				l2f = func() cache.Prefetcher { return e.New() }
 			}
@@ -284,18 +291,18 @@ func main() {
 		if sniffV2(*traceFile) {
 			if faultPlan != nil && faultPlan.TraceFault() {
 				fmt.Fprintln(os.Stderr, "bertisim: trace-level fault plans need a v1 trace (v2 chunks are CRC-checked; use tracegen -format v1)")
-				os.Exit(exitUsage)
+				exit(exitUsage)
 			}
 			tf, err := tracestore.Open(*traceFile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "bertisim:", err)
-				os.Exit(exitRunFailed)
+				exit(exitRunFailed)
 			}
 			defer tf.Close()
 			if *skip > 0 && *skip >= tf.Meta().Instructions {
 				fmt.Fprintf(os.Stderr, "bertisim: -skip %d is beyond the trace's %d instructions\n",
 					*skip, tf.Meta().Instructions)
-				os.Exit(exitUsage)
+				exit(exitUsage)
 			}
 			run = func(l1, l2 string, o *obs.Observer, ck *check.Checker, fp *fault.Plan, pv *provenance.Tracker) (*sim.Result, error) {
 				// Fresh window reader per run: the main and baseline runs each
@@ -311,7 +318,7 @@ func main() {
 			data, err := os.ReadFile(*traceFile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(exitRunFailed)
+				exit(exitRunFailed)
 			}
 			if faultPlan != nil && faultPlan.TraceFault() {
 				data = faultPlan.MutateTrace(data, trace.MagicLen)
@@ -319,13 +326,13 @@ func main() {
 			tr, err := trace.Decode(bytes.NewReader(data))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "decoding trace:", err)
-				os.Exit(exitRunFailed)
+				exit(exitRunFailed)
 			}
 			if *skip > 0 {
 				if *skip >= tr.Instructions() {
 					fmt.Fprintf(os.Stderr, "bertisim: -skip %d is beyond the trace's %d instructions\n",
 						*skip, tr.Instructions())
-					os.Exit(exitUsage)
+					exit(exitUsage)
 				}
 				// No chunk index in a v1 stream: scan to the same boundary
 				// FastForward lands on for v2.
@@ -345,7 +352,7 @@ func main() {
 	} else {
 		if _, ok := workloads.ByName(*workload); !ok {
 			fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *workload)
-			os.Exit(exitUsage)
+			exit(exitUsage)
 		}
 		spec := harness.RunSpec{Workload: *workload, L1DPf: *l1d, L2Pf: *l2, DRAMCfg: *dramCfg}
 		start := time.Now()
@@ -376,10 +383,10 @@ func main() {
 	if baseErr != nil {
 		if sim.IsCancel(baseErr) {
 			fmt.Fprintln(os.Stderr, "bertisim: run interrupted during the baseline; no report was produced")
-			os.Exit(exitInterrupted)
+			exit(exitInterrupted)
 		}
 		fmt.Fprintln(os.Stderr, "bertisim: baseline run failed:", baseErr)
-		os.Exit(exitRunFailed)
+		exit(exitRunFailed)
 	}
 	if checker != nil {
 		// A checked run that produced violations returns them as runErr above,
@@ -434,6 +441,54 @@ func main() {
 	printProvenance(res.Provenance)
 }
 
+// stopProfile finishes the -cpuprofile file; nil when profiling is off.
+var (
+	stopProfile     func()
+	stopProfileOnce sync.Once
+)
+
+// startCPUProfile starts profiling into path (no-op when empty). A file
+// that cannot be created exits 1, like any unwritable output path.
+func startCPUProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bertisim: -cpuprofile:", err)
+		exit(exitRunFailed)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		fmt.Fprintln(os.Stderr, "bertisim: -cpuprofile:", err)
+		exit(exitRunFailed)
+	}
+	stopProfile = func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "bertisim: -cpuprofile:", err)
+		}
+	}
+}
+
+// stopCPUProfile flushes and closes the profile once, whichever exit path
+// (normal return, error exit, or the signal goroutine) gets there first;
+// a concurrent caller waits until the file is complete.
+func stopCPUProfile() {
+	stopProfileOnce.Do(func() {
+		if stopProfile != nil {
+			stopProfile()
+		}
+	})
+}
+
+// exit finishes the CPU profile, then exits with code. Every exit path of
+// the command goes through here.
+func exit(code int) {
+	stopCPUProfile()
+	os.Exit(code)
+}
+
 // printProvenance renders the human-readable attribution summary: per-level
 // outcome totals with mean slack, then the heaviest trigger PCs and deltas
 // with Berti's claimed confidence next to the measured timely rate.
@@ -477,7 +532,7 @@ func writeProvenance(p *provenance.Report, path string) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "provenance:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	if strings.HasSuffix(path, ".json") {
 		enc := json.NewEncoder(f)
@@ -491,7 +546,7 @@ func writeProvenance(p *provenance.Report, path string) {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "provenance:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "provenance: wrote attribution (%d PCs, %d deltas) to %s\n",
 		len(p.PCs), len(p.Deltas), path)
@@ -532,7 +587,7 @@ func skipIndex(tr *trace.Slice, target uint64) int {
 func exitForError(err error, checker *check.Checker) {
 	if sim.IsCancel(err) {
 		fmt.Fprintln(os.Stderr, "bertisim: run interrupted before completion; no report was produced")
-		os.Exit(exitInterrupted)
+		exit(exitInterrupted)
 	}
 	var ve *check.ViolationError
 	if errors.As(err, &ve) {
@@ -544,14 +599,14 @@ func exitForError(err error, checker *check.Checker) {
 			fmt.Fprintf(os.Stderr, "   ... and %d more (raise check.Checker.MaxRecorded to keep them)\n",
 				ve.Total-len(ve.Violations))
 		}
-		os.Exit(exitViolations)
+		exit(exitViolations)
 	}
 	fmt.Fprintln(os.Stderr, "bertisim: run failed:", err)
 	if checker != nil && checker.Total() > 0 {
 		fmt.Fprintf(os.Stderr, "bertisim: %d invariant violation(s) were also recorded before the failure\n",
 			checker.Total())
 	}
-	os.Exit(exitRunFailed)
+	exit(exitRunFailed)
 }
 
 // ensureWritable verifies an output path can be created, exiting early with
@@ -563,7 +618,7 @@ func ensureWritable(path string) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bertisim:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	f.Close()
 }
@@ -574,7 +629,7 @@ func writeObservability(o *obs.Observer, res *sim.Result, tsOut, traceOut string
 		f, err := os.Create(tsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "timeseries:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if strings.HasSuffix(tsOut, ".json") {
 			enc := json.NewEncoder(f)
@@ -588,7 +643,7 @@ func writeObservability(o *obs.Observer, res *sim.Result, tsOut, traceOut string
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "timeseries:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "timeseries: wrote %d intervals to %s\n",
 			len(res.TimeSeries.Rows), tsOut)
@@ -599,7 +654,7 @@ func writeObservability(o *obs.Observer, res *sim.Result, tsOut, traceOut string
 	f, err := os.Create(traceOut)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	err = o.Tracer.WriteChromeTrace(f)
 	if cerr := f.Close(); err == nil {
@@ -607,7 +662,7 @@ func writeObservability(o *obs.Observer, res *sim.Result, tsOut, traceOut string
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d emitted, %d dropped by ring)\n",
 		len(o.Tracer.Events()), traceOut, o.Tracer.Total(), o.Tracer.Dropped())
@@ -690,6 +745,6 @@ func emitJSON(workload, l1d, l2 string, res, base *sim.Result) {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 }

@@ -66,7 +66,12 @@ type tickScenario struct {
 //   - mshr-pressure: two new demand misses per cycle over a footprint far
 //     larger than the cache, answered at a 12-cycle (L2-hit) latency, so
 //     the MSHR file stays nearly full of fills in flight and a fill lands
-//     almost every cycle.
+//     almost every cycle;
+//   - llc-cold: the Table II LLC (2048 sets x 16 ways, DRRIP, 64 MSHRs)
+//     behind a 100-cycle lower level, with demand reads, stores and L2
+//     prefetches that touch one set in eight: 7/8 of the tag array stays
+//     invalid while the touched sets hit, miss, evict and run the DRRIP
+//     victim search.
 func tickScenarios() []tickScenario {
 	cfg := Config{
 		Name: "B", Level: L1D,
@@ -113,11 +118,36 @@ func tickScenarios() []tickScenario {
 			cycle++
 		}
 	}
+	llcCold := func() func() {
+		llc := Config{
+			Name: "LLC", Level: LLC,
+			SizeBytes: 2 * 1024 * 1024, Ways: 16, LatencyCyc: 20,
+			MSHRs: 64, RQSize: 48, WQSize: 48, PQSize: 32,
+			ReadPorts: 1, WritePorts: 1, Repl: DRRIP,
+		}
+		f := &benchLower{delay: 100}
+		c := MustNew(llc, f)
+		s := uint64(0x9e3779b97f4a7c15)
+		cycle := uint64(0)
+		return func() {
+			s = s*6364136223846793005 + 1442695040888963407
+			line := 0x10000 + ((s>>33)%8192)*8 // 8192 lines over 256 of the 2048 sets
+			switch s & 3 {
+			case 0, 1, 2:
+				c.AcceptRead(&Req{LineAddr: line, Store: s&28 == 4, FillLevel: L2, Sink: sink, Token: s}, cycle)
+			case 3:
+				c.AcceptRead(&Req{LineAddr: line ^ 0x40, IsPrefetch: true, FillLevel: L2}, cycle)
+			}
+			f.tick(cycle)
+			c.Tick(cycle)
+			cycle++
+		}
+	}
 	var out []tickScenario
 	for _, sc := range []struct {
 		name  string
 		build func() func()
-	}{{"mixed", mixed}, {"mshr-pressure", pressure}} {
+	}{{"mixed", mixed}, {"mshr-pressure", pressure}, {"llc-cold", llcCold}} {
 		step := sc.build()
 		for i := 0; i < 50_000; i++ { // warm: tables, rings, waiter pool
 			step()

@@ -9,9 +9,10 @@
 // fixed-capacity value rings (internal/ringbuf), completion callbacks are
 // sink+token pairs or pooled waiter nodes instead of per-request closures,
 // and the PQ duplicate check and MSHR lookup are open-addressed probes
-// rather than walks. Per-cycle work follows events: the MSHR file keeps a
-// live count, a free-slot bitmap and the earliest arrived fill, so idle
-// cycles never touch it (see hotpath.go and DESIGN.md §15).
+// rather than walks. Tag lookups read a packed array of 8-byte tags, not
+// whole line structs. Per-cycle work follows events: the MSHR file keeps a
+// live count, free-slot and arrived-fill bitmaps and the earliest arrived
+// fill, so idle cycles never touch it (see hotpath.go and DESIGN.md §15).
 package cache
 
 import (
@@ -226,25 +227,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's metadata.
+// line is one cache line's metadata. Its address and validity live in the
+// parallel tag array (Cache.tags), so a lookup reads 8 bytes per way.
 type line struct {
-	addr  uint64 // full physical line address (tag+index)
 	vaddr uint64 // virtual line address (maintained at L1D)
-	valid bool
-	dirty bool
-	// prefetched is the prefetch bit: set when the line was brought by a
-	// prefetch and not yet demanded.
-	prefetched bool
-	// pfLatency is the stored 12-bit fetch latency of the prefetch that
-	// brought this line (Berti's L1D shadow metadata); 0 = invalid.
-	pfLatency uint16
 	// pfIP is the IP that triggered the prefetch (for training on hit).
 	pfIP uint64
 	lru  uint64
-	rrpv uint8
 	// provID names the provenance record of the prefetch that brought this
 	// line while its prefetch bit is set (0 = untracked).
 	provID uint32
+	// pfLatency is the stored 12-bit fetch latency of the prefetch that
+	// brought this line (Berti's L1D shadow metadata); 0 = invalid.
+	pfLatency uint16
+	dirty     bool
+	// prefetched is the prefetch bit: set when the line was brought by a
+	// prefetch and not yet demanded.
+	prefetched bool
+	rrpv       uint8
 }
 
 // mshr is one miss-status holding register entry.
@@ -361,8 +361,15 @@ type pqEntry struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg   Config
-	sets  int
+	cfg  Config
+	sets int
+	// setMask is sets-1 when the set count is a power of two (setsPow2);
+	// setIndex falls back to % otherwise.
+	setMask  uint64
+	setsPow2 bool
+	// tags is the packed tag array, parallel to lines: addr+1 for a valid
+	// way, 0 for an invalid one. It alone owns validity and address.
+	tags  []uint64
 	lines []line // sets*ways
 	lru   uint64
 	lower Lower
@@ -388,6 +395,10 @@ type Cache struct {
 	// mshrFree has bit i set while MSHR slot i is free. Allocation takes
 	// the lowest free slot, because slot order decides fill order.
 	mshrFree []uint64
+	// mshrArrived has bit i set while MSHR slot i is valid and its data has
+	// arrived (ReqDone sets it, closeMSHR clears it): processFills walks
+	// only these slots.
+	mshrArrived []uint64
 	// mshrLive counts valid MSHR entries.
 	mshrLive int
 	// nextFill is the earliest readyCycle among valid entries whose data
@@ -431,16 +442,23 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sets := cfg.Sets()
 	c := &Cache{
-		cfg:   cfg,
-		sets:  cfg.Sets(),
-		lines: make([]line, cfg.Sets()*cfg.Ways),
-		lower: lower,
-		xlat:  identityXlat{},
-		mshrs: make([]mshr, cfg.MSHRs),
+		cfg:      cfg,
+		sets:     sets,
+		setsPow2: sets&(sets-1) == 0,
+		tags:     make([]uint64, sets*cfg.Ways),
+		lines:    make([]line, sets*cfg.Ways),
+		lower:    lower,
+		xlat:     identityXlat{},
+		mshrs:    make([]mshr, cfg.MSHRs),
 		// One bit per slot, all free.
-		mshrFree: make([]uint64, (cfg.MSHRs+63)/64),
-		nextFill: never,
+		mshrFree:    make([]uint64, (cfg.MSHRs+63)/64),
+		mshrArrived: make([]uint64, (cfg.MSHRs+63)/64),
+		nextFill:    never,
+	}
+	if c.setsPow2 {
+		c.setMask = uint64(sets - 1)
 	}
 	for i := 0; i < cfg.MSHRs; i++ {
 		c.mshrFree[i>>6] |= 1 << (i & 63)
@@ -518,24 +536,43 @@ func (c *Cache) emit(cycle uint64, kind obs.EventKind, addr, ip uint64) {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setFor(lineAddr uint64) []line {
-	s := int(lineAddr % uint64(c.sets))
-	return c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
+// setIndex maps a line address to its set: a mask when the set count is a
+// power of two (every Table II level), % otherwise (e.g. an LLC scaled by
+// three cores). Every set computation goes through here.
+func (c *Cache) setIndex(lineAddr uint64) int {
+	if c.setsPow2 {
+		return int(lineAddr & c.setMask)
+	}
+	return int(lineAddr % uint64(c.sets))
 }
 
-// probe returns the way holding lineAddr, or nil.
-func (c *Cache) probe(lineAddr uint64) *line {
-	set := c.setFor(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].addr == lineAddr {
-			return &set[i]
+// setBase returns the index of the first way of lineAddr's set in tags and
+// lines.
+func (c *Cache) setBase(lineAddr uint64) int { return c.setIndex(lineAddr) * c.cfg.Ways }
+
+// probeWay returns the index (into tags and lines) of the way holding
+// lineAddr, or -1. It reads only the set's tags.
+func (c *Cache) probeWay(lineAddr uint64) int {
+	base := c.setBase(lineAddr)
+	want := lineAddr + 1
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == want {
+			return base + i
 		}
+	}
+	return -1
+}
+
+// probe returns the line holding lineAddr, or nil.
+func (c *Cache) probe(lineAddr uint64) *line {
+	if w := c.probeWay(lineAddr); w >= 0 {
+		return &c.lines[w]
 	}
 	return nil
 }
 
 // Contains reports whether the physical line is present (tests/harness).
-func (c *Cache) Contains(lineAddr uint64) bool { return c.probe(lineAddr) != nil }
+func (c *Cache) Contains(lineAddr uint64) bool { return c.probeWay(lineAddr) >= 0 }
 
 // touch updates replacement state on a hit.
 func (c *Cache) touch(l *line) {
@@ -556,28 +593,31 @@ func (c *Cache) duelKind(setIdx int) int {
 	return 0
 }
 
-// victim selects (and returns) the victim way in the set of lineAddr.
-func (c *Cache) victim(lineAddr uint64) *line {
-	set := c.setFor(lineAddr)
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+// victim selects the victim way in the set of lineAddr and returns its
+// index into tags and lines: the first invalid way, else the replacement
+// policy's choice.
+func (c *Cache) victim(lineAddr uint64) int {
+	base := c.setBase(lineAddr)
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == 0 {
+			return base + i
 		}
 	}
+	set := c.lines[base : base+c.cfg.Ways]
 	switch c.cfg.Repl {
 	case LRU, FIFO:
-		v := &set[0]
+		v := 0
 		for i := 1; i < len(set); i++ {
-			if set[i].lru < v.lru {
-				v = &set[i]
+			if set[i].lru < set[v].lru {
+				v = i
 			}
 		}
-		return v
+		return base + v
 	case SRRIP, DRRIP:
 		for {
 			for i := range set {
 				if set[i].rrpv >= 3 {
-					return &set[i]
+					return base + i
 				}
 			}
 			for i := range set {
@@ -587,7 +627,7 @@ func (c *Cache) victim(lineAddr uint64) *line {
 			}
 		}
 	default:
-		return &set[0]
+		return base
 	}
 }
 
@@ -599,7 +639,7 @@ func (c *Cache) insertRepl(l *line, lineAddr uint64) {
 	case SRRIP:
 		l.rrpv = 2
 	case DRRIP:
-		setIdx := int(lineAddr % uint64(c.sets))
+		setIdx := c.setIndex(lineAddr)
 		brrip := false
 		switch c.duelKind(setIdx) {
 		case 1:
@@ -627,7 +667,7 @@ func (c *Cache) drripMissUpdate(lineAddr uint64) {
 	if c.cfg.Repl != DRRIP {
 		return
 	}
-	setIdx := int(lineAddr % uint64(c.sets))
+	setIdx := c.setIndex(lineAddr)
 	switch c.duelKind(setIdx) {
 	case 1: // SRRIP leader missed -> favor BRRIP
 		if c.drripPSEL > -512 {
@@ -673,6 +713,7 @@ func (c *Cache) closeMSHR(i int) {
 	c.mshrIdx.del(c.mshrs[i].lineAddr)
 	c.mshrs[i] = mshr{}
 	c.mshrFree[i>>6] |= 1 << (i & 63)
+	c.mshrArrived[i>>6] &^= 1 << (i & 63)
 	c.mshrLive--
 }
 
@@ -889,26 +930,31 @@ func (c *Cache) Tick(cycle uint64) {
 
 // processFills completes MSHR entries whose data has arrived, in slot
 // order. nextFill gates the sweep: until the earliest arrived fill is due,
-// the MSHR file is not touched at all. The sweep rebuilds nextFill from
+// the MSHR file is not touched at all. The sweep visits only the slots in
+// the arrived bitmap, lowest first, and re-reads the live bitmap word after
+// each slot, so a bit set or cleared above the cursor mid-sweep is seen
+// exactly as a walk of every slot would see it. It rebuilds nextFill from
 // the entries it leaves pending.
 func (c *Cache) processFills(cycle uint64) {
 	if c.nextFill > cycle {
 		return
 	}
 	c.nextFill = never
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if !m.valid || !m.dataReady {
-			continue
-		}
-		if m.readyCycle > cycle {
-			if m.readyCycle < c.nextFill {
-				c.nextFill = m.readyCycle
+	for w := range c.mshrArrived {
+		for word := c.mshrArrived[w]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			i := w<<6 + b
+			if m := &c.mshrs[i]; m.readyCycle > cycle {
+				if m.readyCycle < c.nextFill {
+					c.nextFill = m.readyCycle
+				}
+			} else {
+				c.fill(m, cycle)
+				c.closeMSHR(i)
 			}
-			continue
+			// Slots 0..b of this word are done.
+			word = c.mshrArrived[w] &^ (^uint64(0) >> (63 - b))
 		}
-		c.fill(m, cycle)
-		c.closeMSHR(i)
 	}
 }
 
@@ -917,10 +963,12 @@ func (c *Cache) processFills(cycle uint64) {
 // replaces the per-request closure forwardDown used to allocate; the MSHR
 // array is stable, so the entry is re-located by address.
 func (c *Cache) ReqDone(lineAddr, done uint64) {
-	m := c.findMSHR(lineAddr)
-	if m == nil {
+	v := c.mshrIdx.get(lineAddr)
+	if v == 0 {
 		return
 	}
+	slot := int(v - 1)
+	m := &c.mshrs[slot]
 	if c.fh != nil {
 		drop, delay := c.fh.FillFault(lineAddr, m.isPrefetch, done)
 		if drop {
@@ -938,6 +986,7 @@ func (c *Cache) ReqDone(lineAddr, done uint64) {
 	}
 	m.dataReady = true
 	m.readyCycle = done
+	c.mshrArrived[slot>>6] |= 1 << (slot & 63)
 	if done < c.nextFill {
 		c.nextFill = done
 	}
@@ -987,30 +1036,15 @@ func (c *Cache) fill(m *mshr, cycle uint64) {
 			m.whead, m.wtail = 0, 0
 			return
 		}
-		v := c.victim(m.lineAddr)
+		w := c.victim(m.lineAddr)
 		var evAddr uint64
 		var evPf bool
-		if v.valid {
-			evAddr = v.addr
-			evPf = v.prefetched
-			if v.prefetched {
-				c.Stats.PrefUseless++
-				if c.tr != nil {
-					c.emit(cycle, obs.EvPrefetchEvict, v.addr, v.pfIP)
-				}
-				if c.prov != nil {
-					c.prov.Resolve(v.provID, int(c.cfg.Level), provenance.OutUseless, cycle)
-				}
-			}
-			if v.dirty {
-				c.writebackVictim(v, cycle)
-			}
+		if c.tags[w] != 0 {
+			evAddr, evPf = c.evict(w, cycle)
 		}
-		*v = line{
-			addr:  m.lineAddr,
-			vaddr: m.vline,
-			valid: true,
-		}
+		c.tags[w] = m.lineAddr + 1
+		v := &c.lines[w]
+		*v = line{vaddr: m.vline}
 		c.insertRepl(v, m.lineAddr)
 		c.Stats.TotalFills++
 		if m.isPrefetch {
@@ -1067,17 +1101,32 @@ func (c *Cache) trainAddr(vline, pline uint64) uint64 {
 	return pline
 }
 
-// writebackVictim queues a dirty victim for the lower level. A writeback is
-// a Store request with no completion callback (see drainSendQ).
-func (c *Cache) writebackVictim(v *line, cycle uint64) {
-	c.Stats.WritebacksOut++
-	c.sendQ.Push(Req{
-		LineAddr:  v.addr,
-		VLineAddr: v.vaddr,
-		Store:     true,
-		notBefore: cycle,
-		FillLevel: c.cfg.Level + 1,
-	})
+// evict retires the valid line in way w to make room at cycle: an unused
+// prefetch counts as useless, and a dirty line is queued for the lower
+// level as a writeback (a Store request with no completion callback, see
+// drainSendQ). It returns the evicted line's address and prefetch bit.
+func (c *Cache) evict(w int, cycle uint64) (addr uint64, prefetched bool) {
+	addr, v := c.tags[w]-1, &c.lines[w]
+	if v.prefetched {
+		c.Stats.PrefUseless++
+		if c.tr != nil {
+			c.emit(cycle, obs.EvPrefetchEvict, addr, v.pfIP)
+		}
+		if c.prov != nil {
+			c.prov.Resolve(v.provID, int(c.cfg.Level), provenance.OutUseless, cycle)
+		}
+	}
+	if v.dirty {
+		c.Stats.WritebacksOut++
+		c.sendQ.Push(Req{
+			LineAddr:  addr,
+			VLineAddr: v.vaddr,
+			Store:     true,
+			notBefore: cycle,
+			FillLevel: c.cfg.Level + 1,
+		})
+	}
+	return addr, v.prefetched
 }
 
 // processWrites handles writebacks arriving from above (and demand stores
@@ -1094,22 +1143,13 @@ func (c *Cache) processWrites(cycle uint64) {
 			l.dirty = true
 			c.touch(l)
 		} else {
-			v := c.victim(r.LineAddr)
-			if v.valid {
-				if v.prefetched {
-					c.Stats.PrefUseless++
-					if c.tr != nil {
-						c.emit(cycle, obs.EvPrefetchEvict, v.addr, v.pfIP)
-					}
-					if c.prov != nil {
-						c.prov.Resolve(v.provID, int(c.cfg.Level), provenance.OutUseless, cycle)
-					}
-				}
-				if v.dirty {
-					c.writebackVictim(v, cycle)
-				}
+			w := c.victim(r.LineAddr)
+			if c.tags[w] != 0 {
+				c.evict(w, cycle)
 			}
-			*v = line{addr: r.LineAddr, vaddr: r.VLineAddr, valid: true, dirty: true}
+			c.tags[w] = r.LineAddr + 1
+			v := &c.lines[w]
+			*v = line{vaddr: r.VLineAddr, dirty: true}
 			c.insertRepl(v, r.LineAddr)
 		}
 		c.wq.PopFront()
@@ -1524,8 +1564,8 @@ func (c *Cache) Drained() bool {
 	return c.rq.Len() == 0 && c.wq.Len() == 0 && c.pq.Len() == 0 && c.sendQ.Len() == 0 && c.mshrLive == 0
 }
 
-// FlushMetadata clears prefetch bits (between warmup and measurement the
-// stats are reset but cache contents persist).
+// ResetStats zeroes the level's counters (between warmup and measurement)
+// while cache contents, prefetch bits and in-flight state persist.
 func (c *Cache) ResetStats() {
 	name := c.Stats.Name
 	c.Stats = stats.CacheStats{Name: name}
@@ -1560,9 +1600,9 @@ func (c *Cache) Queues() QueueSnapshot {
 // invariant: queue occupancy beyond configured bounds, duplicate tags
 // within a set, lines resident in the wrong set, duplicate MSHR entries,
 // MSHR entries in flight longer than mshrStuckAfter cycles (a leaked
-// fill — nothing will ever complete them), and an MSHR index, free
-// bitmap, live counter or fill horizon that disagrees with a walk of the
-// MSHR file. It never mutates state.
+// fill — nothing will ever complete them), and an MSHR index, free or
+// arrived bitmap, live counter or fill horizon that disagrees with a walk
+// of the MSHR file. It never mutates state.
 func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.Violation)) {
 	name := c.cfg.Name
 	if c.rq.Len() > c.cfg.RQSize {
@@ -1578,19 +1618,20 @@ func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.
 			Detail: fmt.Sprintf("PQ holds %d entries, capacity %d", c.pq.Len(), c.cfg.PQSize)})
 	}
 	for s := 0; s < c.sets; s++ {
-		set := c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
-		for i := range set {
-			if !set[i].valid {
+		set := c.tags[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
+		for i, t := range set {
+			if t == 0 {
 				continue
 			}
-			if home := int(set[i].addr % uint64(c.sets)); home != s {
+			addr := t - 1
+			if home := c.setIndex(addr); home != s {
 				report(check.Violation{Rule: check.RuleSetMap, Component: name, Cycle: cycle,
-					Detail: fmt.Sprintf("line %#x resident in set %d, maps to set %d", set[i].addr, s, home)})
+					Detail: fmt.Sprintf("line %#x resident in set %d, maps to set %d", addr, s, home)})
 			}
 			for j := i + 1; j < len(set); j++ {
-				if set[j].valid && set[j].addr == set[i].addr {
+				if set[j] == t {
 					report(check.Violation{Rule: check.RuleDupTag, Component: name, Cycle: cycle,
-						Detail: fmt.Sprintf("line %#x present in ways %d and %d of set %d", set[i].addr, i, j, s)})
+						Detail: fmt.Sprintf("line %#x present in ways %d and %d of set %d", addr, i, j, s)})
 				}
 			}
 		}
@@ -1601,6 +1642,10 @@ func (c *Cache) CheckInvariants(cycle, mshrStuckAfter uint64, report func(check.
 		if free := c.mshrFree[i>>6]&(1<<(i&63)) != 0; free == m.valid {
 			report(check.Violation{Rule: check.RuleMSHRIndex, Component: name, Cycle: cycle,
 				Detail: fmt.Sprintf("MSHR %d valid=%v but the free bitmap says free=%v", i, m.valid, free)})
+		}
+		if arrived := c.mshrArrived[i>>6]&(1<<(i&63)) != 0; arrived != (m.valid && m.dataReady) {
+			report(check.Violation{Rule: check.RuleMSHRIndex, Component: name, Cycle: cycle,
+				Detail: fmt.Sprintf("MSHR %d valid=%v dataReady=%v but the arrived bitmap says %v", i, m.valid, m.dataReady, arrived)})
 		}
 		if !m.valid {
 			continue
@@ -1645,11 +1690,11 @@ func (c *Cache) CorruptDuplicateTag() bool {
 		return false
 	}
 	for s := 0; s < c.sets; s++ {
-		set := c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
-		for i := range set {
-			if set[i].valid {
-				j := (i + 1) % len(set)
-				set[j] = set[i]
+		base := s * c.cfg.Ways
+		for i := 0; i < c.cfg.Ways; i++ {
+			if c.tags[base+i] != 0 {
+				j := base + (i+1)%c.cfg.Ways
+				c.tags[j], c.lines[j] = c.tags[base+i], c.lines[base+i]
 				return true
 			}
 		}

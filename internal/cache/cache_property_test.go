@@ -79,9 +79,9 @@ func TestFillInstallsAtMostOneCopy(t *testing.T) {
 		}
 	}
 	counts := map[uint64]int{}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			counts[c.lines[i].addr]++
+	for _, t := range c.tags {
+		if t != 0 {
+			counts[t-1]++
 		}
 	}
 	for addr, n := range counts {

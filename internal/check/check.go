@@ -28,8 +28,8 @@ const (
 	RuleMSHRStuck = "mshr-stuck"
 	// RuleMSHRDup: two valid MSHR entries track the same line address.
 	RuleMSHRDup = "mshr-dup"
-	// RuleMSHRIndex: the MSHR file's line index, free bitmap, live
-	// counter or earliest-fill horizon disagrees with a walk of its
+	// RuleMSHRIndex: the MSHR file's line index, free or arrived bitmap,
+	// live counter or earliest-fill horizon disagrees with a walk of its
 	// entries.
 	RuleMSHRIndex = "mshr-index"
 	// RuleQueueBound: a read/write/prefetch queue exceeds its configured

@@ -86,6 +86,10 @@ type Request struct {
 	Sink         DoneSink
 	Token        uint64
 	enqueueCycle uint64
+	// bank and row are LineAddr decoded once at enqueue, so the per-cycle
+	// scheduler scans never divide.
+	bank int
+	row  uint64
 }
 
 type bank struct {
@@ -117,15 +121,21 @@ type Channel struct {
 	wq        ringbuf.Ring[Request]
 	transfers ringbuf.Ring[transfer]
 	busFree   uint64
-	draining  bool
-	Stats     stats.DRAMStats
+	// nextXfer is a lower bound on the earliest eligible cycle among
+	// transfers (never when there is none): every push lowers it, and a
+	// serveBus scan that finds nothing eligible rebuilds it exactly, so
+	// serveBus skips the scan until then.
+	nextXfer uint64
+	draining bool
+	Stats    stats.DRAMStats
 }
 
 // NewChannel builds a channel from cfg.
 func NewChannel(cfg Config) *Channel {
 	c := &Channel{
-		cfg:   cfg,
-		banks: make([]bank, cfg.Banks),
+		cfg:      cfg,
+		banks:    make([]bank, cfg.Banks),
+		nextXfer: never,
 	}
 	c.rq.Init(cfg.RQSize)
 	c.wq.Init(cfg.WQSize)
@@ -134,7 +144,7 @@ func NewChannel(cfg Config) *Channel {
 	return c
 }
 
-// lineAddr is a 64-byte line address; map to bank and row.
+// decode maps a 64-byte line address to its bank and row.
 func (c *Channel) decode(lineAddr uint64) (bankIdx int, row uint64) {
 	linesPerRow := c.cfg.RowBytes / 64
 	bankIdx = int((lineAddr / linesPerRow) % uint64(c.cfg.Banks))
@@ -168,7 +178,7 @@ func (c *Channel) EnqueueRead(r *Request, cycle uint64) bool {
 	}
 	nr := *r
 	nr.enqueueCycle = cycle
-	dbgRecord(r.LineAddr, 1, cycle)
+	nr.bank, nr.row = c.decode(r.LineAddr)
 	c.rq.Push(nr)
 	return true
 }
@@ -181,6 +191,7 @@ func (c *Channel) EnqueueWrite(r *Request, cycle uint64) bool {
 	}
 	nr := *r
 	nr.enqueueCycle = cycle
+	nr.bank, nr.row = c.decode(r.LineAddr)
 	c.wq.Push(nr)
 	return true
 }
@@ -217,14 +228,22 @@ func (c *Channel) Tick(cycle uint64) {
 }
 
 // serveBus starts the oldest-eligible data burst when the bus is free.
-// Demand reads get the bus first, then prefetch reads, then writes.
+// Demand reads get the bus first, then prefetch reads, then writes. Until
+// nextXfer no transfer can be eligible, so the queue is not scanned.
 func (c *Channel) serveBus(cycle uint64) {
+	if c.nextXfer > cycle {
+		return
+	}
 	for c.busFree <= cycle {
 		best := -1
 		bestClass := -1
+		next := never
 		for i, n := 0, c.transfers.Len(); i < n; i++ {
 			t := c.transfers.At(i)
 			if t.eligible > cycle {
+				if t.eligible < next {
+					next = t.eligible
+				}
 				continue
 			}
 			class := 0 // write
@@ -240,6 +259,7 @@ func (c *Channel) serveBus(cycle uint64) {
 			}
 		}
 		if best == -1 {
+			c.nextXfer = next
 			return
 		}
 		t := *c.transfers.At(best)
@@ -251,7 +271,6 @@ func (c *Channel) serveBus(cycle uint64) {
 		done := start + c.cfg.BurstCycles
 		c.busFree = done
 		c.Stats.BusyCycles += c.cfg.BurstCycles
-		dbgRecord(t.lineAddr, 3, done)
 		complete(t.onDone, t.sink, t.token, done)
 	}
 }
@@ -265,12 +284,11 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 	bestScore := -1
 	for i, n := 0, q.Len(); i < n; i++ {
 		r := q.At(i)
-		b, row := c.decode(r.LineAddr)
-		bk := &c.banks[b]
+		bk := &c.banks[r.bank]
 		if bk.ready > cycle {
 			continue
 		}
-		hit := bk.rowValid && bk.openRow == row
+		hit := bk.rowValid && bk.openRow == r.row
 		score := 0
 		if hit {
 			score += 2
@@ -291,8 +309,8 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 	r := *q.At(best)
 	q.RemoveAt(best)
 
-	b, row := c.decode(r.LineAddr)
-	bk := &c.banks[b]
+	bk := &c.banks[r.bank]
+	row := r.row
 	// lat is when this access's data is ready; bankBusy is how long the
 	// bank is blocked for the NEXT command. Row hits pipeline at column-
 	// command cadence (~ one burst), only activations serialize the bank.
@@ -315,6 +333,9 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 
 	ready := cycle + lat + c.cfg.ExtraLatency
 	bk.ready = cycle + bankBusy
+	if ready < c.nextXfer {
+		c.nextXfer = ready
+	}
 	if write {
 		c.Stats.Writes++
 		// Posted write: occupies a future bus slot but needs no callback.
@@ -322,7 +343,6 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 		return
 	}
 	c.Stats.Reads++
-	dbgRecord(r.LineAddr, 2, cycle)
 	c.transfers.Push(transfer{
 		lineAddr: r.LineAddr,
 		eligible: ready,
@@ -331,15 +351,6 @@ func (c *Channel) issue(q *ringbuf.Ring[Request], cycle uint64, write bool) {
 		sink:     r.Sink,
 		token:    r.Token,
 	})
-}
-
-// DebugTimeline records per-line DRAM event times when enabled (tests).
-var DebugTimeline map[uint64][]uint64
-
-func dbgRecord(line uint64, tag, cycle uint64) {
-	if DebugTimeline != nil {
-		DebugTimeline[line] = append(DebugTimeline[line], tag, cycle)
-	}
 }
 
 // Promote upgrades queued prefetch reads for the line to demand priority.
@@ -399,8 +410,7 @@ func (c *Channel) NextEventCycle(now uint64) uint64 {
 	// requires a queue-occupancy change, which is itself an event.
 	if !draining {
 		for i, n := 0, c.rq.Len(); i < n; i++ {
-			b, _ := c.decode(c.rq.At(i).LineAddr)
-			if e := c.banks[b].ready; e <= now {
+			if e := c.banks[c.rq.At(i).bank].ready; e <= now {
 				return now
 			} else if e < h {
 				h = e
@@ -409,8 +419,7 @@ func (c *Channel) NextEventCycle(now uint64) uint64 {
 	}
 	if draining || c.rq.Len() == 0 {
 		for i, n := 0, c.wq.Len(); i < n; i++ {
-			b, _ := c.decode(c.wq.At(i).LineAddr)
-			if e := c.banks[b].ready; e <= now {
+			if e := c.banks[c.wq.At(i).bank].ready; e <= now {
 				return now
 			} else if e < h {
 				h = e
