@@ -10,19 +10,21 @@
 // (POST /api/v1/campaigns) or single runs (POST /api/v1/runs — the
 // endpoint cmd/experiments -server uses); the daemon validates them with
 // the harness's typed config errors, dedupes every spec against the
-// content-addressed result store, and fans fresh work across a sharded
-// queue bounded by the harness worker pool. Every completion is journaled
-// per campaign (append-only, CRC-protected) the moment it finishes, so a
-// killed daemon — SIGKILL included — resumes every in-flight campaign on
-// restart and finishes with a report byte-identical to an uninterrupted
-// run. Live metrics (/metrics, /debug/vars) share the API listener.
+// content-addressed result store, and queues fresh work in the lease
+// pool, which -workers local loops drain in FIFO order. Every completion
+// is journaled per campaign (append-only, CRC-protected) the moment it
+// finishes, so a killed daemon — SIGKILL included — resumes every
+// in-flight campaign on restart and finishes with a report byte-identical
+// to an uninterrupted run. Live metrics (/metrics, /debug/vars) share the
+// API listener.
 //
-// With -lease-only the daemon becomes a pure coordinator: specs are
-// handed out in leased batches over POST /api/v1/leases to bertiworker
-// processes, which heartbeat and push results back; a lease whose worker
-// dies or partitions expires after -lease-ttl and its specs are
-// reassigned, with duplicate late results deduped — the final report is
-// byte-identical to a solo local run.
+// The same pool hands specs out in leased batches over POST
+// /api/v1/leases to bertiworker processes, which heartbeat and push
+// results back; a lease whose worker dies or partitions expires after
+// -lease-ttl and its specs are reassigned, with duplicate late results
+// deduped. -lease-only starts zero local loops, making the daemon a pure
+// coordinator. Either way the final report is byte-identical to a solo
+// local run.
 //
 // The first SIGINT/SIGTERM drains gracefully: new submissions get 503,
 // in-flight simulations stop cooperatively at the engine's next poll
@@ -54,8 +56,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "HTTP listen address for the API and metrics")
 	dataDir := flag.String("data", "bertid-data", "state root: per-campaign journals + manifests and the content-addressed result store")
-	shards := flag.Int("shards", 0, "work-queue shards (0 = default)")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "local loops, one simulation each (0 = NumCPU)")
 	flag.IntVar(workers, "j", 0, "alias for -workers")
 	corpusDir := flag.String("corpus-dir", "", "cache generated traces here (v2 containers) and stream them from disk")
 	checkFlag := flag.Bool("check", false, "run the invariant checker on every simulation")
@@ -63,7 +64,7 @@ func main() {
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock budget (0 = 10m default, negative disables)")
 	provFlag := flag.Bool("provenance", false, "track per-prefetch lifecycle provenance on every run")
 	provCap := flag.Int("provenance-cap", 0, "per-run provenance record-pool capacity (0 = default 65536)")
-	leaseOnly := flag.Bool("lease-only", false, "coordinator mode: hand specs to bertiworker processes via the lease endpoints instead of running them locally")
+	leaseOnly := flag.Bool("lease-only", false, "coordinator mode: start no local loops, so only bertiworker processes run specs (via the lease endpoints)")
 	leaseTTL := flag.Duration("lease-ttl", server.DefaultLeaseTTL, "lease lifetime without a heartbeat before specs are reassigned")
 	leaseHB := flag.Duration("lease-heartbeat", 0, "heartbeat cadence suggested to workers and the expiry scan period (0 = lease-ttl/4)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "HTTP header read deadline (slowloris guard; 0 disables)")
@@ -100,7 +101,6 @@ func main() {
 	s, err := server.New(server.Options{
 		Harness:           h,
 		DataDir:           *dataDir,
-		Shards:            *shards,
 		LeaseOnly:         *leaseOnly,
 		LeaseTTL:          *leaseTTL,
 		HeartbeatInterval: *leaseHB,

@@ -796,14 +796,6 @@ func (h *Harness) ResultFor(key string) (*sim.Result, bool) {
 	return r, ok
 }
 
-// ErrFor returns the memoized failure for one run key, if any.
-func (h *Harness) ErrFor(key string) (error, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	err, ok := h.errs[key]
-	return err, ok
-}
-
 // Results returns a snapshot of every memoized completed run, keyed by
 // RunSpec.Key (the campaign report's source of truth).
 func (h *Harness) Results() map[string]*sim.Result {
@@ -935,17 +927,12 @@ func (h *Harness) run(ctx context.Context, spec RunSpec, opts RunOptions) (*sim.
 	return m.Run()
 }
 
-// RunObserved executes one simulation with the observability layer
-// attached (interval sampler, event tracer). Observed runs bypass the memo
-// cache in both directions: a time series or event trace belongs to a
-// single execution, and the result must reflect the run that produced it.
-func (h *Harness) RunObserved(spec RunSpec, o *obs.Observer) (*sim.Result, error) {
-	return h.RunWith(spec, RunOptions{Observer: o})
-}
-
 // RunWith executes one unmemoized simulation with the given options
-// (observability, invariant checking, fault injection). Failures get the
-// same protection as Run: panic recovery, deadline, the retry policy.
+// (observability, invariant checking, fault injection). It bypasses the
+// memo cache in both directions: a time series or event trace belongs to
+// a single execution, and the result must reflect the run that produced
+// it. Failures get the same protection as Run: panic recovery, deadline,
+// the retry policy.
 func (h *Harness) RunWith(spec RunSpec, opts RunOptions) (*sim.Result, error) {
 	return h.RunWithContext(h.context(), spec, opts)
 }

@@ -105,8 +105,8 @@ type failedRun struct {
 }
 
 // campaignState is one submitted campaign's in-memory progress. The
-// counters move at batch granularity (noteBatch), fed by the sharded
-// queue's RunManyContext results.
+// counters move once per key (noteKeyDone, noteKeyFailed), fed by the
+// completion paths every executor shares.
 type campaignState struct {
 	id      string
 	name    string
@@ -115,9 +115,8 @@ type campaignState struct {
 	journal *campaign.Journal
 
 	mu        sync.Mutex
-	remaining int // specs not yet completed or failed (cancelled stay remaining)
+	remaining int // specs not yet completed or failed
 	completed int
-	cancelled int             // specs returned to the queue by a drain; resumed on restart
 	doneK     map[string]bool // keys already counted via noteKeyDone/noteKeyFailed
 	failed    []failedRun
 	finished  bool
@@ -126,7 +125,7 @@ type campaignState struct {
 }
 
 // newCampaignState starts with everything remaining: per-key completions
-// (the lease path, or enqueue's already-done seeding) may race campaign
+// (any executor, or enqueue's already-done seeding) may race campaign
 // registration, and a pessimistic start means a completion arriving
 // before enqueue runs simply decrements early instead of corrupting
 // counters that have not been assigned yet.
@@ -148,21 +147,9 @@ func newCampaignState(id, name string, specs []harness.RunSpec, j *campaign.Jour
 	}
 }
 
-// noteBatch folds one finished queue batch into the campaign's counters.
-func (c *campaignState) noteBatch(completed int, failed []failedRun, cancelled int) {
-	c.mu.Lock()
-	c.completed += completed
-	c.remaining -= completed + len(failed)
-	c.failed = append(c.failed, failed...)
-	c.cancelled += cancelled
-	c.maybeFinishLocked()
-	c.notifyLocked()
-	c.mu.Unlock()
-}
-
 // noteKeyDone counts one spec complete, exactly once per key no matter
-// how many paths report it (lease push, enqueue seeding, duplicate
-// worker): the done set is the dedup.
+// how many paths report it (local loop, lease push, enqueue seeding,
+// duplicate worker): the done set is the dedup.
 func (c *campaignState) noteKeyDone(key string) {
 	c.mu.Lock()
 	if c.doneK[key] {
@@ -231,8 +218,10 @@ const (
 	StateFailed  = "failed"  // finished, but some specs failed
 )
 
-// status assembles the externally-visible progress snapshot.
-func (c *campaignState) status() *CampaignStatus {
+// status assembles the externally-visible progress snapshot. Once the
+// daemon is draining, every unfinished spec counts as cancelled: nothing
+// runs it until a restart resumes the campaign.
+func (c *campaignState) status(draining bool) *CampaignStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := &CampaignStatus{
@@ -243,7 +232,9 @@ func (c *campaignState) status() *CampaignStatus {
 		Total:         len(c.specs),
 		Completed:     c.completed,
 		Failed:        len(c.failed),
-		Cancelled:     c.cancelled,
+	}
+	if draining {
+		st.Cancelled = c.remaining
 	}
 	if c.finished {
 		st.State = StateDone

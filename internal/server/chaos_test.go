@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/fault"
 	"github.com/bertisim/berti/internal/harness"
-	"github.com/bertisim/berti/internal/obs/live"
+	"github.com/bertisim/berti/internal/sim"
 )
 
 // chaosSpecs is the distributed acceptance sweep: big enough that one
@@ -59,21 +60,7 @@ func TestLeaseChaosLostWorkerByteIdentical(t *testing.T) {
 	specs := chaosSpecs()
 
 	// Reference: the same sweep on a plain local-execution daemon.
-	refS, _ := newTestServer(t, t.TempDir())
-	refTS := httptest.NewServer(refS.Handler())
-	defer refTS.Close()
-	refCl := NewClient(refTS.URL)
-	refAck, err := refCl.Submit(ctx, "chaos", specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := refCl.WaitCampaign(ctx, refAck.ID); err != nil {
-		t.Fatal(err)
-	}
-	want, err := refCl.Report(ctx, refAck.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refID, want := localReport(ctx, t, "chaos", specs)
 
 	// Chaos coordinator: lease-only, fast TTL so the test observes expiry.
 	h := harness.New(srvScale)
@@ -93,8 +80,8 @@ func TestLeaseChaosLostWorkerByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.ID != refAck.ID {
-		t.Fatalf("same sweep, different campaign IDs: %q vs %q", ack.ID, refAck.ID)
+	if ack.ID != refID {
+		t.Fatalf("same sweep, different campaign IDs: %q vs %q", ack.ID, refID)
 	}
 
 	// Victim: grabs the whole batch, heartbeats fine, but a partition
@@ -188,17 +175,7 @@ func TestLeaseChaosLostWorkerByteIdentical(t *testing.T) {
 	}
 
 	// The failure story must be visible in the fleet metrics.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap live.Snapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := snap.Fleet
+	fl := metricsSnapshot(t, ts.URL).Fleet
 	if fl.LeasesExpired < 1 {
 		t.Fatalf("fleet metrics: %+v, want at least one expired lease", fl)
 	}
@@ -213,5 +190,141 @@ func TestLeaseChaosLostWorkerByteIdentical(t *testing.T) {
 	}
 	if fl.WorkersSeen < 3 {
 		t.Fatalf("fleet metrics: %+v, want all three workers registered", fl)
+	}
+}
+
+// startWorkers runs n remote Workers against base until the test ends and
+// returns their harnesses (each one's memo holds exactly the specs it
+// executed).
+func startWorkers(ctx context.Context, t *testing.T, base string, n int) []*harness.Harness {
+	t.Helper()
+	hs := make([]*harness.Harness, n)
+	for i := range hs {
+		hs[i] = harness.New(srvScale)
+		w := &Worker{
+			ID: fmt.Sprintf("remote-%d", i), Client: NewClient(base), Harness: hs[i],
+			MaxSpecs: 1, PollInterval: 10 * time.Millisecond, Logf: t.Logf,
+		}
+		wctx, cancel := context.WithCancel(ctx)
+		done := make(chan error, 1)
+		go func() { done <- w.Run(wctx) }()
+		t.Cleanup(func() {
+			cancel()
+			if err := <-done; err != nil {
+				t.Errorf("worker %s: %v", w.ID, err)
+			}
+		})
+	}
+	return hs
+}
+
+// TestMixedFleetExactlyOnce: a local daemon's own loop and two remote
+// workers drain one lease pool. Every key executes exactly once across
+// the fleet, the fleet counters show nothing but the test's own replay,
+// and the report is byte-identical to a pure-local and a lease-only run
+// of the same sweep.
+func TestMixedFleetExactlyOnce(t *testing.T) {
+	ctx := testCtx(t)
+	specs := chaosSpecs()
+	refID, want := localReport(ctx, t, "mixed", specs)
+
+	// Lease-only reference: two remote workers and no local loop.
+	_, lts := newLeaseTestServer(t, t.TempDir(), time.Minute)
+	startWorkers(ctx, t, lts.URL, 2)
+	lcl := NewClient(lts.URL)
+	lack, err := lcl.Submit(ctx, "mixed", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lcl.WaitCampaign(ctx, lack.ID); err != nil {
+		t.Fatal(err)
+	}
+	leaseRep, err := lcl.Report(ctx, lack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The mixed fleet: one local loop plus two remote workers.
+	h := harness.New(srvScale)
+	h.Workers = 1
+	s, err := New(Options{Harness: h, DataDir: t.TempDir(), Logf: t.Logf, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	var mu sync.Mutex
+	runs := map[string]int{}
+	local := 0
+	land := h.OnResult
+	h.OnResult = func(key string, spec harness.RunSpec, r *sim.Result) {
+		mu.Lock()
+		runs[key]++
+		local++
+		mu.Unlock()
+		land(key, spec, r)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	remote := startWorkers(ctx, t, ts.URL, 2)
+	cl := NewClient(ts.URL)
+	ack, err := cl.Submit(ctx, "mixed", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.ID != refID || lack.ID != refID {
+		t.Fatalf("same sweep, different campaign IDs: %q, %q, %q", ack.ID, lack.ID, refID)
+	}
+	st, err := cl.WaitCampaign(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Completed != st.Total || st.Total != len(specs) {
+		t.Fatalf("mixed campaign finished as %+v, want done %d/%d", st, len(specs), len(specs))
+	}
+	got, err := cl.Report(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || !bytes.Equal(leaseRep, want) {
+		t.Fatalf("reports differ: mixed %d, lease-only %d, local %d bytes", len(got), len(leaseRep), len(want))
+	}
+
+	// The test's own replay: one finished entry pushed again.
+	var rep Report
+	if err := json.Unmarshal(got, &rep); err != nil {
+		t.Fatal(err)
+	}
+	rr, err := cl.PushResults(ctx, "l999999", "replayer",
+		[]campaign.Entry{{Key: rep.Runs[0].Key, Result: rep.Runs[0].Result}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Duplicates != 1 || rr.Accepted != 0 {
+		t.Fatalf("replay: %+v, want 1 duplicate", rr)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	remoteRuns := 0
+	for _, wh := range remote {
+		for key := range wh.Results() {
+			runs[key]++
+			remoteRuns++
+		}
+	}
+	if local == 0 || remoteRuns == 0 {
+		t.Fatalf("%d local and %d remote executions, want both executors to contribute", local, remoteRuns)
+	}
+	for _, spec := range specs {
+		if n := runs[spec.Key()]; n != 1 {
+			t.Fatalf("spec %q executed %d times across the fleet, want exactly once", spec.Key(), n)
+		}
+	}
+	snap := metricsSnapshot(t, ts.URL)
+	fl := snap.Fleet
+	if snap.RunsCompleted != uint64(len(specs)) || fl.RemoteResults != uint64(remoteRuns) ||
+		fl.DuplicateResults != 1 || fl.SpecsReassigned != 0 || fl.LeasesExpired != 0 {
+		t.Fatalf("metrics: %d runs completed, fleet %+v; want %d completions, %d remote, only the replay duplicated",
+			snap.RunsCompleted, fl, len(specs), remoteRuns)
 	}
 }

@@ -16,19 +16,26 @@ import (
 
 // Spec states in the lease pool. The state machine is deliberately tiny:
 //
-//	pending --acquire--> leased --complete/fail--> done   (terminal)
-//	   ^                    |
-//	   +------expire--------+
+//	pending --acquire/next--> leased --complete/fail--> done   (terminal)
+//	   ^                        |
+//	   +--------expire----------+
 //
 // done is terminal: a late completion for a reassigned spec (the original
 // worker finished after its lease expired) finds the state already done
 // and is deduped, so no spec is ever double-counted; an expired lease
-// returns its specs to pending, so no spec is ever lost.
+// returns its specs to pending, so no spec is ever lost. Specs taken by
+// the coordinator's own loops (next) are leased with no expiring lease:
+// such a loop is lost only with the coordinator itself, whose restart
+// re-enqueues from the manifests.
 const (
 	specPending byte = iota
 	specLeased
 	specDone
 )
+
+// localHolder is the holder of a spec leased to one of the coordinator's
+// own loops: no lease record, so expire never touches it.
+const localHolder = ""
 
 // lease is one granted batch.
 type lease struct {
@@ -51,10 +58,12 @@ type workerInfo struct {
 	specsDone uint64
 }
 
-// leasePool owns the distributed work queue: which specs are waiting,
-// which are out on lease to which worker, and which are finished. All
-// transitions happen under one mutex — the pool is the single authority
-// on spec fate, which is what makes exactly-once accounting checkable.
+// leasePool is the server's only work queue: which specs are waiting,
+// which are out on lease to which worker (or running on a local loop), and
+// which are finished. Remote acquires and local loops pop the same FIFO.
+// All transitions happen under one mutex — the pool is the single
+// authority on spec fate, which is what makes exactly-once accounting
+// checkable.
 type leasePool struct {
 	ttl  time.Duration
 	hb   time.Duration
@@ -62,12 +71,14 @@ type leasePool struct {
 	live *live.Server
 
 	mu       sync.Mutex
+	wake     *sync.Cond // signalled when pending work appears or the pool closes
+	closed   bool       // set by close: next returns false from then on
 	seq      uint64
 	pending  []string // FIFO of candidate keys; stale (non-pending) entries skipped lazily
 	pendingN int      // exact count of state==specPending keys
 	state    map[string]byte
 	specs    map[string]harness.RunSpec
-	holder   map[string]string // leased key -> lease ID
+	holder   map[string]string // leased key -> lease ID (localHolder for a local loop)
 	leases   map[string]*lease
 	workers  map[string]*workerInfo
 }
@@ -79,7 +90,7 @@ func newLeasePool(ttl, hb time.Duration, lv *live.Server) *leasePool {
 	if hb <= 0 {
 		hb = ttl / 4
 	}
-	return &leasePool{
+	p := &leasePool{
 		ttl:     ttl,
 		hb:      hb,
 		now:     time.Now,
@@ -90,6 +101,8 @@ func newLeasePool(ttl, hb time.Duration, lv *live.Server) *leasePool {
 		leases:  map[string]*lease{},
 		workers: map[string]*workerInfo{},
 	}
+	p.wake = sync.NewCond(&p.mu)
+	return p
 }
 
 // add registers specs as pending work. Keys the pool already finished are
@@ -112,8 +125,47 @@ func (p *leasePool) add(specs []harness.RunSpec) (alreadyDone []string) {
 		p.specs[key] = spec
 		p.pending = append(p.pending, key)
 		p.pendingN++
+		p.wake.Signal()
 	}
 	return alreadyDone
+}
+
+// popPendingLocked dequeues the oldest pending key, skipping stale
+// entries (completed or re-leased since they were queued).
+func (p *leasePool) popPendingLocked() (string, bool) {
+	for len(p.pending) > 0 {
+		key := p.pending[0]
+		p.pending = p.pending[1:]
+		if p.state[key] == specPending {
+			return key, true
+		}
+	}
+	return "", false
+}
+
+// next blocks until a spec is pending and leases it to a local loop (see
+// localHolder). It returns false once the pool is closed.
+func (p *leasePool) next() (harness.RunSpec, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.closed {
+		if key, ok := p.popPendingLocked(); ok {
+			p.state[key] = specLeased
+			p.holder[key] = localHolder
+			p.pendingN--
+			return p.specs[key], true
+		}
+		p.wake.Wait()
+	}
+	return harness.RunSpec{}, false
+}
+
+// close releases every loop blocked in next. Remote leases are unaffected.
+func (p *leasePool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.wake.Broadcast()
+	p.mu.Unlock()
 }
 
 // touchWorker updates the registry under the lock.
@@ -134,11 +186,10 @@ func (p *leasePool) acquire(worker string, max int) (*lease, []harness.RunSpec) 
 	defer p.mu.Unlock()
 	w := p.touchWorkerLocked(worker)
 	var granted []string
-	for len(granted) < max && len(p.pending) > 0 {
-		key := p.pending[0]
-		p.pending = p.pending[1:]
-		if p.state[key] != specPending {
-			continue // stale entry (completed or re-leased since queued)
+	for len(granted) < max {
+		key, ok := p.popPendingLocked()
+		if !ok {
+			break
 		}
 		granted = append(granted, key)
 	}
@@ -200,11 +251,12 @@ func (p *leasePool) touchLease(id string) {
 // finish transitions key to done (from any non-terminal state), detaching
 // it from its holding lease. fresh reports a first completion; known
 // reports whether the pool tracks the key at all. Exactly one concurrent
-// caller per key ever sees fresh==true.
+// caller per key ever sees fresh==true. worker is localHolder for a local
+// loop, which stays out of the worker registry.
 func (p *leasePool) finish(worker, key string) (fresh, known bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if worker != "" {
+	if worker != localHolder {
 		p.touchWorkerLocked(worker)
 	}
 	st, ok := p.state[key]
@@ -252,6 +304,9 @@ func (p *leasePool) expire() (leases, specs int) {
 			specs++
 		}
 		delete(p.leases, id)
+	}
+	if specs > 0 {
+		p.wake.Broadcast()
 	}
 	p.mu.Unlock()
 	if p.live != nil {
@@ -303,44 +358,50 @@ func (p *leasePool) workerStatuses() []WorkerStatus {
 	return out
 }
 
-// ---- coordinator-side completion paths ----
+// ---- completion paths ----
 
-// acceptEntry lands one pushed result: the pool decides its fate (the
-// single authority on first-vs-duplicate), and only a first completion
-// touches the store, the memo cache, the journals, and the campaign
-// counters. Returns "accepted", "duplicate", or "unknown".
+// acceptEntry lands one finished result, pushed over HTTP by worker or
+// computed by a local loop (worker is localHolder; the harness's OnResult
+// hook calls this). The pool decides its fate (the single authority on
+// first-vs-duplicate), and only a first completion touches the memo
+// cache, the store, the journals, and the campaign counters. The fleet
+// counters count HTTP pushes only. Returns "accepted", "duplicate", or
+// "unknown".
 func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
+	s.mu.Lock()
 	fresh, known := s.pool.finish(worker, key)
+	var interested []*campaignState
+	if fresh {
+		s.h.SeedResult(key, r)
+		interested = s.interestedLocked(key)
+	}
+	s.mu.Unlock()
+	remote := worker != localHolder
 	if fresh {
 		if err := s.store.Put(key, r); err != nil {
 			s.logf("server: result store: %v", err)
 		}
-		s.h.SeedResult(key, r)
 		s.live.RunCompleted()
-		s.live.RemoteResult()
-		s.mu.Lock()
-		var interested []*campaignState
-		for _, c := range s.campaigns {
-			if c.keys[key] {
-				interested = append(interested, c)
-			}
+		if remote {
+			s.live.RemoteResult()
 		}
-		delete(s.pending, key)
-		s.mu.Unlock()
 		for _, c := range interested {
 			_ = c.journal.Append(key, r)
 			c.noteKeyDone(key)
 		}
 		return "accepted"
 	}
+	if !remote {
+		return "duplicate" // a local run that lost to a late push
+	}
 	if known {
 		s.live.DuplicateResult()
 		return "duplicate"
 	}
 	// The pool never tracked this key in this daemon life; if it is already
-	// finished in the memo cache or the store (done before a restart, or
-	// executed locally), the push is a late duplicate, otherwise it is
-	// work the coordinator never issued.
+	// finished in the memo cache or the store (done before a restart), the
+	// push is a late duplicate, otherwise it is work the coordinator never
+	// issued.
 	if _, ok := s.h.ResultFor(key); ok {
 		s.live.DuplicateResult()
 		return "duplicate"
@@ -353,34 +414,44 @@ func (s *Server) acceptEntry(worker, key string, r *sim.Result) string {
 	return "unknown"
 }
 
-// acceptFailure lands one pushed failure. Failures are terminal for this
-// daemon life (like the harness's error memoization) but are not
-// persisted, so they re-execute after a restart — same policy as local
-// mode.
+// acceptFailure lands one failure, pushed or local, with the same
+// first-vs-duplicate decision as acceptEntry. Failures are terminal for
+// this daemon life (like the harness's error memoization) but are not
+// persisted, so they re-execute after a restart.
 func (s *Server) acceptFailure(worker, key, msg string) string {
+	s.mu.Lock()
 	fresh, known := s.pool.finish(worker, key)
+	var interested []*campaignState
+	if fresh {
+		s.failures[key] = msg
+		interested = s.interestedLocked(key)
+	}
+	s.mu.Unlock()
 	if !fresh {
-		if known {
-			s.live.DuplicateResult()
-			return "duplicate"
+		if !known {
+			return "unknown"
 		}
-		return "unknown"
+		if worker != localHolder {
+			s.live.DuplicateResult()
+		}
+		return "duplicate"
 	}
 	s.live.RunFailed()
-	s.mu.Lock()
-	var interested []*campaignState
-	for _, c := range s.campaigns {
-		if c.keys[key] {
-			interested = append(interested, c)
-		}
-	}
-	delete(s.pending, key)
-	s.adhocErr[key] = msg
-	s.mu.Unlock()
 	for _, c := range interested {
 		c.noteKeyFailed(key, msg)
 	}
 	return "failed"
+}
+
+// interestedLocked lists the campaigns containing key. Caller holds s.mu.
+func (s *Server) interestedLocked(key string) []*campaignState {
+	var out []*campaignState
+	for _, c := range s.campaigns {
+		if c.keys[key] {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // expiryLoop periodically reassigns expired leases until the server
@@ -418,10 +489,7 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("lease request needs a worker identity"))
 		return
 	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.isDraining() {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("daemon is draining; not granting leases"))
 		return
 	}
@@ -452,10 +520,7 @@ func (s *Server) handleLeaseHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.isDraining() {
 		writeErr(w, http.StatusGone, errors.New("daemon is draining; abandon the lease"))
 		return
 	}
@@ -480,6 +545,10 @@ func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 	var req ResultsRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return
+	}
+	if req.Worker == localHolder {
+		writeErr(w, http.StatusBadRequest, errors.New("results push needs a worker identity"))
 		return
 	}
 	resp := &ResultsResponse{SchemaVersion: APISchemaVersion}

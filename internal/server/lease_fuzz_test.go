@@ -9,8 +9,8 @@ import (
 // byte-encoded op sequence and asserts the never-lose / never-double-count
 // contract plus the structural invariants after every op. Each byte is one
 // op: the high bits select the kind, the low bits its operand, so any
-// input the fuzzer invents maps to a legal interleaving of acquire /
-// heartbeat / expire / finish / add.
+// input the fuzzer invents maps to a legal interleaving of acquire / local
+// take / heartbeat / expire / finish / add.
 func FuzzLeasePool(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xc0, 0x13})
 	f.Add([]byte{0x01, 0x02, 0x03, 0x80, 0x81, 0x82, 0x83, 0x84})
@@ -46,8 +46,12 @@ func FuzzLeasePool(f *testing.F) {
 		for _, op := range ops {
 			kind, arg := op>>6, int(op&0x3f)
 			switch kind {
-			case 0: // acquire
-				if l, _ := p.acquire(workers[arg%2], 1+arg%6); l != nil {
+			case 0: // acquire, or with operand bit 5 a local take
+				if arg&0x20 != 0 {
+					if p.gauges().SpecsPending > 0 {
+						p.next() // never blocks: a spec is pending
+					}
+				} else if l, _ := p.acquire(workers[arg%2], 1+arg%6); l != nil {
 					leaseIDs = append(leaseIDs, l.id)
 				}
 			case 1: // heartbeat an arbitrary past lease (possibly dead)

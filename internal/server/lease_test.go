@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,8 +43,8 @@ func newFakePool(ttl time.Duration) (*leasePool, *fakeClock) {
 }
 
 // checkPoolInvariants asserts the structural invariants the state machine
-// promises: exact pending count, holder/lease agreement, and no key in
-// two leases.
+// promises: exact pending count, holder/lease agreement (a local loop's
+// key has no lease), and no key in two leases.
 func checkPoolInvariants(t *testing.T, p *leasePool) {
 	t.Helper()
 	p.mu.Lock()
@@ -60,6 +61,9 @@ func checkPoolInvariants(t *testing.T, p *leasePool) {
 			lid, held := p.holder[key]
 			if !held {
 				t.Fatalf("leased key %q has no holder", key)
+			}
+			if lid == localHolder {
+				continue
 			}
 			l := p.leases[lid]
 			if l == nil || !l.outstanding[key] {
@@ -179,9 +183,9 @@ func TestLeasePoolLifecycle(t *testing.T) {
 
 // TestLeasePoolNeverLosesOrDoubleCounts is the property test behind the
 // exactly-once claim: under a seeded random interleaving of acquire /
-// heartbeat / expire / finish (including duplicate and late finishes),
-// every spec is first-completed exactly once and the structural
-// invariants hold after every step.
+// local take / heartbeat / expire / finish (including duplicate and late
+// finishes), every spec is first-completed exactly once and the
+// structural invariants hold after every step.
 func TestLeasePoolNeverLosesOrDoubleCounts(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -199,11 +203,15 @@ func TestLeasePoolNeverLosesOrDoubleCounts(t *testing.T) {
 			var leaseIDs []string
 
 			for step := 0; step < 600; step++ {
-				switch rng.Intn(10) {
+				switch rng.Intn(11) {
 				case 0, 1, 2: // acquire
 					w := workers[rng.Intn(len(workers))]
 					if l, _ := p.acquire(w, 1+rng.Intn(5)); l != nil {
 						leaseIDs = append(leaseIDs, l.id)
+					}
+				case 10: // a local loop takes one spec (next blocks when none is pending)
+					if p.gauges().SpecsPending > 0 {
+						p.next()
 					}
 				case 3: // heartbeat a random (possibly dead) lease
 					if len(leaseIDs) > 0 {
@@ -269,21 +277,7 @@ func TestLeaseProtocolEndToEnd(t *testing.T) {
 	specs := srvSpecs()
 
 	// Reference: local-execution daemon.
-	refS, _ := newTestServer(t, t.TempDir())
-	refTS := httptest.NewServer(refS.Handler())
-	defer refTS.Close()
-	refCl := NewClient(refTS.URL)
-	refAck, err := refCl.Submit(ctx, "wire", specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := refCl.WaitCampaign(ctx, refAck.ID); err != nil {
-		t.Fatal(err)
-	}
-	want, err := refCl.Report(ctx, refAck.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refID, want := localReport(ctx, t, "wire", specs)
 
 	_, ts := newLeaseTestServer(t, t.TempDir(), time.Minute)
 	cl := NewClient(ts.URL)
@@ -291,8 +285,8 @@ func TestLeaseProtocolEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.ID != refAck.ID {
-		t.Fatalf("same sweep, different campaign IDs: %q vs %q", ack.ID, refAck.ID)
+	if ack.ID != refID {
+		t.Fatalf("same sweep, different campaign IDs: %q vs %q", ack.ID, refID)
 	}
 	st, err := cl.Status(ctx, ack.ID)
 	if err != nil {
@@ -322,6 +316,10 @@ func TestLeaseProtocolEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		entries = append(entries, campaign.Entry{Key: spec.Key(), Result: r})
+	}
+	// An empty worker identity is reserved for the coordinator's own loops.
+	if _, err := cl.PushResults(ctx, grant.ID, "", entries, nil); err == nil || !strings.Contains(err.Error(), "worker identity") {
+		t.Fatalf("anonymous push: got %v, want a worker-identity rejection", err)
 	}
 	rr, err := cl.PushResults(ctx, grant.ID, "hand-worker", entries, nil)
 	if err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -14,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bertisim/berti/internal/campaign"
 	"github.com/bertisim/berti/internal/harness"
+	"github.com/bertisim/berti/internal/obs/live"
 	"github.com/bertisim/berti/internal/sim"
 )
 
@@ -35,7 +38,7 @@ func srvSpecs() []harness.RunSpec {
 func newTestServer(t *testing.T, dataDir string) (*Server, *harness.Harness) {
 	t.Helper()
 	h := harness.New(srvScale)
-	s, err := New(Options{Harness: h, DataDir: dataDir, Shards: 2, Logf: t.Logf})
+	s, err := New(Options{Harness: h, DataDir: dataDir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +51,44 @@ func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// localReport runs specs as a campaign on a fresh local daemon and returns
+// its ID and report bytes: the reference every other execution path must
+// reproduce byte for byte.
+func localReport(ctx context.Context, t *testing.T, name string, specs []harness.RunSpec) (string, []byte) {
+	t.Helper()
+	s, _ := newTestServer(t, t.TempDir())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	ack, err := cl.Submit(ctx, name, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.WaitCampaign(ctx, ack.ID); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := cl.Report(ctx, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ack.ID, rep
+}
+
+// metricsSnapshot fetches a daemon's /metrics document.
+func metricsSnapshot(t *testing.T, base string) live.Snapshot {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap live.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // TestCampaignLifecycle drives the full happy path over real HTTP: submit,
@@ -111,6 +152,12 @@ func TestCampaignLifecycle(t *testing.T) {
 	if !again.Existing || again.ID != ack.ID {
 		t.Fatalf("identical resubmit: existing=%v id=%q, want existing id %q", again.Existing, again.ID, ack.ID)
 	}
+
+	// The fleet counters count HTTP pushes and lease expiries only; an
+	// all-local campaign has neither.
+	if fl := metricsSnapshot(t, ts.URL).Fleet; fl.RemoteResults != 0 || fl.DuplicateResults != 0 || fl.SpecsReassigned != 0 {
+		t.Fatalf("all-local campaign moved the fleet counters: %+v", fl)
+	}
 }
 
 // TestConcurrentDuplicateSubmission is the dedup contract: two clients
@@ -171,36 +218,23 @@ func TestConcurrentDuplicateSubmission(t *testing.T) {
 
 // TestRestartResumesCampaign is the crash-resume contract in-process: a
 // campaign interrupted by a drain (standing in for SIGKILL — the journals
-// are write-through, so the drain adds nothing they need) must resume on a
-// fresh daemon over the same data dir and finish with a report
-// byte-identical to an uninterrupted run of the same sweep.
+// are write-through, so the drain adds nothing they need) must report its
+// unfinished specs as cancelled, resume on a fresh daemon over the same
+// data dir, and finish with a report byte-identical to an uninterrupted
+// run of the same sweep.
 func TestRestartResumesCampaign(t *testing.T) {
 	dataDir := t.TempDir()
 	ctx := testCtx(t)
 
 	// Reference: the same sweep run uninterrupted on a separate data dir.
-	ref, _ := newTestServer(t, t.TempDir())
-	refTS := httptest.NewServer(ref.Handler())
-	defer refTS.Close()
-	refCl := NewClient(refTS.URL)
-	refAck, err := refCl.Submit(ctx, "resume", srvSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := refCl.WaitCampaign(ctx, refAck.ID); err != nil {
-		t.Fatal(err)
-	}
-	want, err := refCl.Report(ctx, refAck.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refID, want := localReport(ctx, t, "resume", srvSpecs())
 
-	// Life 1: serialize the pool so the campaign cannot finish instantly,
+	// Life 1: one local loop so the campaign cannot finish instantly;
 	// submit, wait for the first journaled completion, then tear down with
 	// work still pending.
 	h1 := harness.New(srvScale)
 	h1.Workers = 1
-	s1, err := New(Options{Harness: h1, DataDir: dataDir, Shards: 1, Logf: t.Logf})
+	s1, err := New(Options{Harness: h1, DataDir: dataDir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +250,11 @@ func TestRestartResumesCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.ID != refAck.ID {
-		t.Fatalf("same sweep produced different campaign IDs: %q vs %q", ack.ID, refAck.ID)
+	if ack.ID != refID {
+		t.Fatalf("same sweep produced different campaign IDs: %q vs %q", ack.ID, refID)
+	}
+	if st, err := cl1.Status(ctx, ack.ID); err != nil || st.Cancelled != 0 {
+		t.Fatalf("running campaign before any drain: %+v (%v), want 0 cancelled", st, err)
 	}
 	for first.Load() == 0 {
 		if ctx.Err() != nil {
@@ -227,14 +264,21 @@ func TestRestartResumesCampaign(t *testing.T) {
 	}
 	s1.Drain()
 	ts1.Close()
-	if st, err := cl1WaitlessStatus(s1, ack.ID); err == nil && st.Completed == st.Total {
+	drained, err := cl1WaitlessStatus(s1, ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drained.Completed == drained.Total {
 		t.Skip("campaign finished before the drain landed; nothing to resume")
+	}
+	if left := drained.Total - drained.Completed - drained.Failed; drained.State != StateRunning || drained.Cancelled != left {
+		t.Fatalf("drained campaign reports %+v, want running with all %d unfinished specs cancelled", drained, left)
 	}
 
 	// Life 2: a fresh daemon over the same data dir must recover the
 	// campaign from manifest+journal+store and finish it.
 	h2 := harness.New(srvScale)
-	s2, err := New(Options{Harness: h2, DataDir: dataDir, Shards: 1, Logf: t.Logf})
+	s2, err := New(Options{Harness: h2, DataDir: dataDir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +290,8 @@ func TestRestartResumesCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone || st.Completed != 3 {
-		t.Fatalf("resumed campaign finished as %+v, want done 3/3", st)
+	if st.State != StateDone || st.Completed != 3 || st.Cancelled != 0 {
+		t.Fatalf("resumed campaign finished as %+v, want done 3/3, none cancelled", st)
 	}
 	got, err := cl2.Report(ctx, ack.ID)
 	if err != nil {
@@ -265,7 +309,205 @@ func cl1WaitlessStatus(s *Server, id string) (*CampaignStatus, error) {
 	if !ok {
 		return nil, errors.New("unknown campaign")
 	}
-	return c.status(), nil
+	return c.status(s.isDraining()), nil
+}
+
+// checkFailedCampaign waits for campaign id and requires it to end failed
+// with exactly the failed keys in its report, each listed once, and the
+// run endpoint to answer "failed" for every one of them.
+func checkFailedCampaign(ctx context.Context, t *testing.T, cl *Client, id string, completed int, failed ...string) {
+	t.Helper()
+	st, err := cl.WaitCampaign(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.Completed != completed || st.Failed != len(failed) || st.Cancelled != 0 {
+		t.Fatalf("campaign ended %+v, want failed with %d completed and %d failed", st, completed, len(failed))
+	}
+	body, err := cl.Report(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failed) != len(failed) || len(rep.Runs) != completed {
+		t.Fatalf("report lists %d runs and failures %+v, want %d runs and %d failures", len(rep.Runs), rep.Failed, completed, len(failed))
+	}
+	want := map[string]bool{}
+	for _, k := range failed {
+		want[k] = true
+	}
+	for _, f := range rep.Failed {
+		if !want[f.Key] || f.Error == "" {
+			t.Fatalf("report failure %+v: unexpected, repeated, or without error text", f)
+		}
+		delete(want, f.Key)
+	}
+	for _, k := range failed {
+		spec := specByKey(t, k)
+		rs, err := cl.postRun(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.State != "failed" || rs.Error == "" {
+			t.Fatalf("POST /api/v1/runs for failed %q answered %+v, want state failed", k, rs)
+		}
+	}
+}
+
+// specByKey finds the srvSpecs entry with memo key k.
+func specByKey(t *testing.T, k string) harness.RunSpec {
+	t.Helper()
+	for _, spec := range srvSpecs() {
+		if spec.Key() == k {
+			return spec
+		}
+	}
+	t.Fatalf("no test spec has key %q", k)
+	return harness.RunSpec{}
+}
+
+// TestCampaignFailureBothModes: a spec that fails — run by a local loop,
+// or pushed as a failure by a remote worker — lands through the same
+// acceptFailure path. The campaign ends failed, the report lists the key
+// once, the run endpoint answers failed, and a later campaign holding the
+// same key counts it failed, not complete.
+func TestCampaignFailureBothModes(t *testing.T) {
+	specs := srvSpecs()
+	t.Run("local", func(t *testing.T) {
+		ctx := testCtx(t)
+		h := harness.New(srvScale)
+		h.RunTimeout = time.Nanosecond // every run overruns: *sim.DeadlineError after the retry policy
+		h.Retry = harness.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+		s, err := New(Options{Harness: h, DataDir: t.TempDir(), Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Drain)
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		cl := NewClient(ts.URL)
+
+		ack, err := cl.Submit(ctx, "fails", specs[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFailedCampaign(ctx, t, cl, ack.ID, 0, specs[0].Key())
+		var de *sim.DeadlineError
+		if fs := h.Failures(); len(fs) != 1 || !errors.As(fs[0], &de) {
+			t.Fatalf("harness failures %v, want one deadline overrun", fs)
+		}
+		// A superset campaign: the known failure counts failed at once,
+		// the new spec fails by running.
+		ack2, err := cl.Submit(ctx, "fails-again", specs[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFailedCampaign(ctx, t, cl, ack2.ID, 0, specs[0].Key(), specs[1].Key())
+		if snap := metricsSnapshot(t, ts.URL); snap.RunsFailed != 2 || snap.Fleet.DuplicateResults != 0 {
+			t.Fatalf("metrics: %d runs failed, fleet %+v; want 2 failures and no duplicates", snap.RunsFailed, snap.Fleet)
+		}
+	})
+	t.Run("lease-only", func(t *testing.T) {
+		ctx := testCtx(t)
+		_, ts := newLeaseTestServer(t, t.TempDir(), time.Minute)
+		cl := NewClient(ts.URL)
+		ack, err := cl.Submit(ctx, "fails", specs[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant, err := cl.AcquireLease(ctx, "hand-worker", 64)
+		if err != nil || len(grant.Specs) != 2 {
+			t.Fatalf("grant %+v (%v), want both specs", grant, err)
+		}
+		r, err := harness.New(srvScale).RunContext(ctx, specs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := []campaign.Entry{{Key: specs[1].Key(), Result: r}}
+		failures := []RunFailure{{Key: specs[0].Key(), Error: "worker: injected failure"}}
+		rr, err := cl.PushResults(ctx, grant.ID, "hand-worker", entries, failures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Accepted != 1 || rr.Failed != 1 {
+			t.Fatalf("push: %+v, want 1 accepted and 1 failed", rr)
+		}
+		// A replayed failure is a duplicate, never a second report entry.
+		rr, err = cl.PushResults(ctx, grant.ID, "hand-worker", nil, failures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Failed != 0 || rr.Duplicates != 1 {
+			t.Fatalf("replayed failure push: %+v, want 1 duplicate", rr)
+		}
+		checkFailedCampaign(ctx, t, cl, ack.ID, 1, specs[0].Key())
+		ack2, err := cl.Submit(ctx, "fails-again", specs[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFailedCampaign(ctx, t, cl, ack2.ID, 0, specs[0].Key())
+	})
+}
+
+// TestProgressStream: the SSE stream of a local campaign carries status
+// documents with non-decreasing progress, ends with a done event whose
+// Completed equals Total, and then closes.
+func TestProgressStream(t *testing.T) {
+	ctx := testCtx(t)
+	h := harness.New(srvScale)
+	h.Workers = 1 // progress arrives one spec at a time
+	s, err := New(Options{Harness: h, DataDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ack, err := NewClient(ts.URL).Submit(ctx, "stream", srvSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/v1/campaigns/"+ack.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("stream Content-Type %q", ct)
+	}
+	var events []CampaignStatus
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() { // ends when the server closes the stream
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var st CampaignStatus
+		if err := json.Unmarshal([]byte(data), &st); err != nil {
+			t.Fatalf("event %q: %v", data, err)
+		}
+		if n := len(events); n > 0 && st.Completed < events[n-1].Completed {
+			t.Fatalf("progress went backwards: %+v after %+v", st, events[n-1])
+		}
+		events = append(events, st)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream did not close cleanly: %v", err)
+	}
+	if len(events) == 0 {
+		t.Fatal("stream carried no events")
+	}
+	last := events[len(events)-1]
+	if last.State != StateDone || last.Completed != last.Total || last.Total != len(srvSpecs()) {
+		t.Fatalf("last event %+v, want done with every spec complete", last)
+	}
 }
 
 // TestRemoteHarnessThinClient wires a second, client-side harness to the

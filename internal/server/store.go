@@ -1,7 +1,8 @@
 // Package server turns the simulator's campaign machinery into a
 // long-running multi-user service: an HTTP/JSON API to submit experiment
-// specs, a sharded work queue fanning runs across the harness's bounded
-// worker pool, per-campaign append-only journals for crash-safe resume,
+// specs, one lease-pool work queue drained by in-process loops on the
+// harness's bounded worker pool and by remote workers over HTTP,
+// per-campaign append-only journals for crash-safe resume,
 // and content-addressed result storage keyed by the harness memo key so
 // identical specs dedupe across campaigns, across clients, and across
 // daemon restarts. See DESIGN.md §14.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"github.com/bertisim/berti/internal/harness"
-	"github.com/bertisim/berti/internal/obs/live"
 )
 
 // lateAck delivers every results-push response d after the coordinator
@@ -84,17 +82,7 @@ func TestWorkerLeaseLossKeepsLandedPush(t *testing.T) {
 		t.Fatalf("campaign finished as %+v", st)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap live.Snapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fl := snap.Fleet; fl.DuplicateResults != 0 || fl.RemoteResults != uint64(len(specs)) {
+	if fl := metricsSnapshot(t, ts.URL).Fleet; fl.DuplicateResults != 0 || fl.RemoteResults != uint64(len(specs)) {
 		t.Fatalf("fleet metrics: %+v, want %d results landed once each", fl, len(specs))
 	}
 }
